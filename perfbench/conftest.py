@@ -1,0 +1,8 @@
+"""Let ``pytest perfbench`` import the program from ./src and the
+benchmark as a package."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
