@@ -95,10 +95,6 @@ def canonical_json(data) -> str:
 # generate
 
 
-def load_model_strict(data: Mapping) -> ModelData:
-    return ModelData.from_json_dict(data)
-
-
 def load_model_lenient(data: Mapping) -> ModelData:
     """Reconstruct a model without validating it, so that certification can
     report broken invariants as failing sections instead of refusing the

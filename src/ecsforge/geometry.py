@@ -19,6 +19,7 @@ way are exactly the reproducible residuals the certificates need.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,6 +56,11 @@ class ConstantProfile:
         return 0.0
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class MetricPatch:
     """The metric g = kappa dt**2 + dt ds + <dv, dv> with its analytic
@@ -82,12 +88,22 @@ class MetricPatch:
     def _profile(self):
         return self.profile if self.profile is not None else self.model.f
 
+    # h and A are built once per patch and shared read-only: every
+    # Christoffel evaluation needs both, several times over
+    @cached_property
+    def _h(self) -> np.ndarray:
+        return _read_only(np.array(self.model.h_rows(), dtype=float))
+
+    @cached_property
+    def _shift(self) -> np.ndarray:
+        rows = self.shift_rows if self.shift_rows is not None else self.model.shift_rows()
+        return _read_only(np.array(rows, dtype=float))
+
     def h_matrix(self) -> np.ndarray:
-        return np.array(self.model.h_rows(), dtype=float)
+        return self._h
 
     def shift_matrix(self) -> np.ndarray:
-        rows = self.shift_rows if self.shift_rows is not None else self.model.shift_rows()
-        return np.array(rows, dtype=float)
+        return self._shift
 
     def kappa(self, t: float, v: np.ndarray) -> float:
         h = self.h_matrix()
@@ -271,6 +287,14 @@ class CurvatureReport:
         }
 
 
+def _weyl(core):
+    return core[6]
+
+
+def _riemann(core):
+    return core[3]
+
+
 def curvature_at(
     patch: MetricPatch,
     point,
@@ -282,11 +306,13 @@ def curvature_at(
     x = _as_array(point)
     if x[0] <= 0:
         raise ValueError("the chart requires t > 0")
-    g, g_inv, gamma, riemann, ricci, scalar, weyl = _curvature_core(patch, x, step)
+    core = _curvature_core(patch, x, step)
+    g, g_inv, gamma, riemann, ricci, scalar, weyl = core
     norm_r = float(np.linalg.norm(riemann))
     norm_w = float(np.linalg.norm(weyl))
-    nabla_w, _ = _covariant_norm(patch, x, lambda core: core[6], step, derivative_step)
-    nabla_r, _ = _covariant_norm(patch, x, lambda core: core[3], step, derivative_step)
+    nabla_w, nabla_r = _covariant_norms(
+        patch, x, core, (_weyl, _riemann), step, derivative_step
+    )
     dim, singulars = olszak_singular_values(weyl)
     return CurvatureReport(
         point=point,
@@ -306,50 +332,71 @@ def curvature_at(
     )
 
 
-def _covariant_norm(
+def _covariant_norms(
     patch: MetricPatch,
     x: np.ndarray,
-    extract: Callable,
+    base_core: tuple,
+    extractors: Sequence[Callable],
     step: float,
     derivative_step: float,
-) -> tuple[float, float]:
-    """Frobenius norm of the covariant derivative of a rank-4 tensor field
-    (given as a selector from the curvature core), and of the field itself.
+) -> list[float]:
+    """Frobenius norms of the covariant derivatives of rank-4 tensor fields,
+    each given as a selector from the curvature core; `base_core` is the
+    core at x itself.
 
     The partial-derivative part uses Richardson central differences of the
-    components; the connection corrections close the covariant derivative.
-    Nothing depends on s, and no Christoffel symbol carries a lower s
-    index, so the s-slot of the derivative is identically zero.
+    components; each offset core is computed once and serves every
+    selector, and only one pair of offset cores is alive at a time.  The
+    connection corrections close the covariant derivative.  Nothing
+    depends on s, and no Christoffel symbol carries a lower s index, so
+    the s-slot of the derivative is identically zero.
     """
     n = patch.n
-    base_core = _curvature_core(patch, x, step)
-    tensor = extract(base_core)
-    gamma = base_core[2]
-    partial = np.zeros((n,) + tensor.shape)
+    tensors = [extract(base_core) for extract in extractors]
+    partials = [np.zeros((n,) + tensor.shape) for tensor in tensors]
+
+    def difference(offset: np.ndarray, width: float) -> list[np.ndarray]:
+        plus = _curvature_core(patch, x + offset, step)
+        minus = _curvature_core(patch, x - offset, step)
+        return [(extract(plus) - extract(minus)) / width for extract in extractors]
+
     for c in range(n):
         if c == 1:
             continue
         h = derivative_step * abs(x[0]) if c == 0 else derivative_step
         offset = np.zeros(n)
         offset[c] = h
-        coarse = (
-            extract(_curvature_core(patch, x + offset, step))
-            - extract(_curvature_core(patch, x - offset, step))
-        ) / (2 * h)
+        coarse = difference(offset, 2 * h)
         offset[c] = h / 2
-        fine = (
-            extract(_curvature_core(patch, x + offset, step))
-            - extract(_curvature_core(patch, x - offset, step))
-        ) / h
-        partial[c] = (4.0 * fine - coarse) / 3.0
-    nabla = (
-        partial
-        - np.einsum("fea,fbcd->eabcd", gamma, tensor)
-        - np.einsum("feb,afcd->eabcd", gamma, tensor)
-        - np.einsum("fec,abfd->eabcd", gamma, tensor)
-        - np.einsum("fed,abcf->eabcd", gamma, tensor)
-    )
-    return float(np.linalg.norm(nabla)), float(np.linalg.norm(tensor))
+        fine = difference(offset, h)
+        for partial, coarse_k, fine_k in zip(partials, coarse, fine):
+            partial[c] = (4.0 * fine_k - coarse_k) / 3.0
+    gamma = base_core[2]
+    norms = []
+    for partial, tensor in zip(partials, tensors):
+        nabla = (
+            partial
+            - np.einsum("fea,fbcd->eabcd", gamma, tensor)
+            - np.einsum("feb,afcd->eabcd", gamma, tensor)
+            - np.einsum("fec,abfd->eabcd", gamma, tensor)
+            - np.einsum("fed,abcf->eabcd", gamma, tensor)
+        )
+        norms.append(float(np.linalg.norm(nabla)))
+    return norms
+
+
+def _relative_covariant_norm(
+    patch: MetricPatch,
+    point,
+    extract: Callable,
+    step: float,
+    derivative_step: float,
+) -> tuple[float, float]:
+    """(|nabla T|, |T|) for one selector T of the curvature core."""
+    x = _as_array(point)
+    core = _curvature_core(patch, x, step)
+    (nabla,) = _covariant_norms(patch, x, core, (extract,), step, derivative_step)
+    return nabla, float(np.linalg.norm(extract(core)))
 
 
 def nabla_weyl_residual(
@@ -359,8 +406,7 @@ def nabla_weyl_residual(
     derivative_step: float = 1e-3,
 ) -> float:
     """|nabla W| / |W| at the point; raises when W vanishes there."""
-    x = _as_array(point)
-    nabla, norm = _covariant_norm(patch, x, lambda core: core[6], step, derivative_step)
+    nabla, norm = _relative_covariant_norm(patch, point, _weyl, step, derivative_step)
     if norm < 1e-14:
         raise ValueError("conformally flat at this point: |W| = 0")
     return nabla / norm
@@ -373,8 +419,7 @@ def nabla_riemann_norm(
     derivative_step: float = 1e-3,
 ) -> float:
     """|nabla R| / |R| at the point; raises when R vanishes there."""
-    x = _as_array(point)
-    nabla, norm = _covariant_norm(patch, x, lambda core: core[3], step, derivative_step)
+    nabla, norm = _relative_covariant_norm(patch, point, _riemann, step, derivative_step)
     if norm < 1e-14:
         raise ValueError("flat at this point: |R| = 0")
     return nabla / norm

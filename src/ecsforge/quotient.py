@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -422,6 +423,12 @@ def _int_matpow(matrix, inverse, power: int):
     return out
 
 
+def _read_only_float(matrix) -> np.ndarray:
+    array = np.array([[float(e) for e in row] for row in matrix])
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class LatticeSigma:
     """The lattice Sigma = Phi(Z**(m+1)) in R x L, carried by exact data.
@@ -444,11 +451,39 @@ class LatticeSigma:
     def size(self) -> int:
         return len(self.y_exponents)
 
+    # The float matrices and the integer rows below are derived once per
+    # lattice and kept on the instance, so they live exactly as long as it.
+
+    @cached_property
+    def _phi_float(self) -> np.ndarray:
+        return _read_only_float(self.basis_matrix)
+
+    @cached_property
+    def _phi_inv_float(self) -> np.ndarray:
+        return _read_only_float(self.basis_matrix_inverse)
+
     def phi_float(self) -> np.ndarray:
-        return np.array([[float(e) for e in row] for row in self.basis_matrix])
+        return self._phi_float
 
     def phi_inv_float(self) -> np.ndarray:
-        return np.array([[float(e) for e in row] for row in self.basis_matrix_inverse])
+        return self._phi_inv_float
+
+    @cached_property
+    def _integer_rows(self) -> tuple:
+        """Each row of Phi as (a-numerators, b-numerators, denominator):
+        entry j of the row is (a[j] + b[j] sqrt(d)) / denominator, with one
+        common denominator for the whole row."""
+        rows = []
+        for row in self.basis_matrix:
+            den = math.lcm(*(part.denominator for e in row for part in (e.a, e.b)))
+            rows.append(
+                (
+                    tuple(int(e.a * den) for e in row),
+                    tuple(int(e.b * den) for e in row),
+                    den,
+                )
+            )
+        return tuple(rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -553,19 +588,28 @@ def intertwining_failures(sigma: LatticeSigma) -> tuple[str, ...]:
     return tuple(failures)
 
 
+def _lattice_column(sigma: LatticeSigma, coords: Sequence[int]) -> list[QFieldElement]:
+    """Phi @ coords in field arithmetic, as two integer dot products per
+    row over the row's common denominator."""
+    coords = [int(c) for c in coords]
+    d = sigma.model.context().d
+    return [
+        QFieldElement._unchecked(
+            Fraction(sum(a * c for a, c in zip(a_nums, coords)), den),
+            Fraction(sum(b * c for b, c in zip(b_nums, coords)), den),
+            d,
+        )
+        for a_nums, b_nums, den in sigma._integer_rows
+    ]
+
+
 def lattice_element(
     sigma: LatticeSigma, coords: Sequence[int], lagrangian: LagrangianL
 ) -> HElement:
     """The group element Phi(coords) = (r, sum_j c_j u_j) for integer coords."""
     if len(coords) != sigma.size:
         raise ValueError(f"expected {sigma.size} coordinates, got {len(coords)}")
-    column = [
-        sum(
-            (sigma.basis_matrix[i][j] * int(c) for j, c in enumerate(coords)),
-            sigma.model.context().zero,
-        )
-        for i in range(sigma.size)
-    ]
+    column = _lattice_column(sigma, coords)
     r_part = float(column[0])
     terms = [
         (float(column[j + 1]), lagrangian.basis[j])

@@ -9,12 +9,15 @@ their numerical depth is covered by the module tests.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from ecsforge.cli import DEFAULT_TOLERANCES, build_certificate, canonical_json, main
 from ecsforge.model import ModelData, build_model
 from ecsforge.spectral import standard_family
+
+GOLDEN = Path(__file__).parent / "golden"
 
 SECTION_ORDER = [
     "spectral-axioms",
@@ -120,6 +123,18 @@ def test_certificates_are_deterministic(tmp_path):
     main(["certify", str(out), "--samples", "2", "--seed", "7", "--out", str(a)])
     main(["certify", str(out), "--samples", "2", "--seed", "7", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("n, p", [(5, 3), (7, 4)])
+def test_certificate_matches_golden_file(n, p):
+    # The golden files pin every byte of a certificate, floats included, so
+    # a refactor of the numeric engine must leave each sum in its order.
+    # They were written by this same call; a deliberate change of the
+    # output regenerates them with it.
+    model = build_model(standard_family((n + 1) // 2), p=p)
+    emitted = canonical_json(build_certificate(model, samples=5, seed=0))
+    golden = (GOLDEN / f"certificate-n{n}-p{p}.json").read_text(encoding="utf-8")
+    assert emitted == golden
 
 
 def test_tampered_spectrum_fails_the_spectral_section(tmp_path):

@@ -189,6 +189,48 @@ def test_riemann_not_parallel():
     assert nabla_riemann_norm(PATCH7, POINT7) > 1e-3
 
 
+@pytest.mark.parametrize("patch, point", [(PATCH, POINT), (PATCH7, POINT7)], ids=["n5", "n7"])
+def test_curvature_pass_matches_single_field_residuals(patch, point):
+    # curvature_at differences W and R in one pass; the single-field entry
+    # points difference one each, and the results must agree to the bit
+    rep = curvature_at(patch, point)
+    assert rep.norm_nabla_weyl / rep.norm_weyl == nabla_weyl_residual(patch, point)
+    assert rep.norm_nabla_riemann / rep.norm_riemann == nabla_riemann_norm(patch, point)
+
+
+@pytest.mark.parametrize(
+    "patch, point, calls",
+    [(PATCH, POINT, 289), (PATCH7, POINT7, 625)],
+    ids=["n5", "n7"],
+)
+def test_curvature_pass_christoffel_count(monkeypatch, patch, point, calls):
+    # one curvature core costs 4n - 3 Christoffel evaluations (the point and
+    # two Richardson pairs in each of n - 1 directions), and one curvature
+    # workup needs 4n - 3 cores: the base and the same offsets one level up
+    seen = []
+    original = MetricPatch.christoffel
+
+    def counted(self, x):
+        seen.append(None)
+        return original(self, x)
+
+    monkeypatch.setattr(MetricPatch, "christoffel", counted)
+    curvature_at(patch, point)
+    assert len(seen) == (4 * patch.n - 3) ** 2 == calls
+
+
+def test_patch_matrices_are_built_once_and_read_only():
+    patch = MetricPatch(MODEL)
+    assert patch.h_matrix() is patch.h_matrix()
+    assert patch.shift_matrix() is patch.shift_matrix()
+    assert np.array_equal(patch.h_matrix(), np.array(MODEL.h_rows(), dtype=float))
+    assert np.array_equal(patch.shift_matrix(), np.array(MODEL.shift_rows(), dtype=float))
+    with pytest.raises(ValueError):
+        patch.h_matrix()[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        patch.shift_matrix()[0, 0] = 1.0
+
+
 def test_residual_stable_under_step_halving():
     a = nabla_weyl_residual(PATCH, POINT, derivative_step=1e-3)
     b = nabla_weyl_residual(PATCH, POINT, derivative_step=5e-4)

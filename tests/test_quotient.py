@@ -9,6 +9,7 @@ word and acting by its normal form must move points identically.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ecsforge.quotient import (
     HElement,
     LagrangianL,
     _field_inverse,
+    _lattice_column,
     act,
     act_inverse,
     act_jacobian,
@@ -205,6 +207,58 @@ def test_field_inverse_and_sparse_matmul_are_exact_on_lattices(r, p):
     assert dense_field_matmul(phi, phi_inv, ctx) == identity
     for left, right in ((pi, phi), (phi, xi), (phi_inv, phi), (xi, phi_inv)):
         assert _field_matmul(left, right, ctx) == dense_field_matmul(left, right, ctx)
+
+
+@lru_cache(maxsize=None)
+def lattice_for(r, p):
+    model = build_model(standard_family(r), p=p)
+    lagrangian = build_lagrangian(model)
+    return build_lattice(model, pi_map(model, make_gamma_hat(model), lagrangian)), lagrangian
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.integers(3, 6), p=st.integers(3, 5), data=st.data())
+def test_lattice_column_is_the_exact_field_sum(r, p, data):
+    # n = 2r - 1 = 5..11; the integer-row column must equal the plain
+    # field-arithmetic Phi @ coords entry by entry, not just in float
+    sigma, lagrangian = lattice_for(r, p)
+    coords = data.draw(
+        st.lists(st.integers(-3, 3), min_size=sigma.size, max_size=sigma.size)
+    )
+    zero = sigma.model.context().zero
+    expected = [
+        sum((sigma.basis_matrix[i][j] * c for j, c in enumerate(coords)), zero)
+        for i in range(sigma.size)
+    ]
+    column = _lattice_column(sigma, coords)
+    assert len(column) == sigma.size
+    for got, want in zip(column, expected):
+        assert got.a == want.a and got.b == want.b and got.d == want.d
+    element = lattice_element(sigma, tuple(coords), lagrangian)
+    assert element.r == float(expected[0])
+    assert (element.u is None) == all(entry.is_zero for entry in expected[1:])
+
+
+def test_lattice_column_of_zero_and_unit_coordinates():
+    zero = CTX.zero
+    assert _lattice_column(SIGMA, (0,) * SIGMA.size) == [zero] * SIGMA.size
+    for j in range(SIGMA.size):
+        unit = tuple(int(i == j) for i in range(SIGMA.size))
+        column = _lattice_column(SIGMA, unit)
+        assert column == [SIGMA.basis_matrix[i][j] for i in range(SIGMA.size)]
+    assert lattice_element(SIGMA, (0,) * SIGMA.size, L).u is None
+
+
+def test_float_phi_is_cached_read_only():
+    for cached, exact in (
+        (SIGMA.phi_float(), SIGMA.basis_matrix),
+        (SIGMA.phi_inv_float(), SIGMA.basis_matrix_inverse),
+    ):
+        assert np.array_equal(cached, [[float(e) for e in row] for row in exact])
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
+    assert SIGMA.phi_float() is SIGMA.phi_float()
+    assert SIGMA.phi_inv_float() is SIGMA.phi_inv_float()
 
 
 def test_lattice_serialization_layout():
