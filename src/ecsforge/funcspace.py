@@ -69,16 +69,18 @@ class MonomialFn:
     power: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coef", Fraction(self.coef))
-        object.__setattr__(self, "power", Fraction(self.power))
+        coef, power = Fraction(self.coef), Fraction(self.power)
+        # value() and deriv() read these float forms, converted once
+        self.__dict__.update(coef=coef, power=power, _coef_f=float(coef), _power_f=float(power))
+        self.__dict__.update(_slope_f=float(coef * power), _power_m1_f=float(power - 1))
 
     def value(self, t: float) -> float:
-        return float(self.coef) * t ** float(self.power)
+        return self._coef_f * t ** self._power_f
 
     def deriv(self, t: float) -> float:
-        if self.power == 0:
+        if not self.power:
             return 0.0
-        return float(self.coef * self.power) * t ** float(self.power - 1)
+        return self._slope_f * t ** self._power_m1_f
 
 
 class OdeFn:

@@ -266,9 +266,8 @@ def _field_matmul(
 ) -> list[list[QFieldElement]]:
     """Exact product over the field, skipping zero factors.
 
-    Every product taken here has a sparse factor (C diagonal, A rank one,
-    Pi triangular, Xi companion, V_Pi one or two entries per column), so
-    only the nonzero terms of each dot product are formed.
+    Every product taken here has a sparse factor (C diagonal, A rank
+    one), so only the nonzero terms of each dot product are formed.
     """
     cols = len(right[0])
     out = []

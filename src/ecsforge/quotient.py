@@ -28,6 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .exact import (
+    IntPolynomial,
     QFieldContext,
     QFieldElement,
     char_poly_from_exponents,
@@ -35,7 +36,7 @@ from .exact import (
     det_int,
 )
 from .funcspace import ESolution, LinCombFn, ct_eigenbasis, ct_image, omega
-from .model import HomogeneousF, ModelData, _field_matmul
+from .model import HomogeneousF, ModelData
 
 __all__ = [
     "GammaHat",
@@ -349,78 +350,43 @@ def pi_apply_numeric(model: ModelData, gamma_hat: GammaHat, element: HElement) -
 # the lattice
 
 
-def _field_identity(size: int, ctx: QFieldContext):
-    return [
-        [ctx.one if i == j else ctx.zero for j in range(size)] for i in range(size)
-    ]
+def _vandermonde_inverse_columns(poly: IntPolynomial, roots, ctx: QFieldContext):
+    """Columns of the inverse of the Vandermonde matrix with rows
+    (1, lambda_k, ..., lambda_k**(N-1)), lambda_k the roots of `poly`.
+
+    Column k holds the coefficients of the Lagrange basis polynomial
+    poly(x) / ((x - lambda_k) poly'(lambda_k)) (Macon & Spitzbart, 1958):
+    synthetic division gives the quotient, whose value at lambda_k is
+    poly'(lambda_k).  A nonzero remainder (lambda_k not a root) raises.
+    """
+    coeffs = poly.coefficients
+    columns = []
+    for lam in roots:
+        high_first = [ctx.one]
+        for c in reversed(coeffs[1:-1]):
+            high_first.append(high_first[-1] * lam + c)
+        if not (high_first[-1] * lam + coeffs[0]).is_zero:
+            raise ValueError("a spectrum root is not a root of the characteristic polynomial")
+        slope = ctx.one
+        for b in high_first[1:]:
+            slope = slope * lam + b
+        scale = slope.inverse()
+        columns.append([b * scale for b in reversed(high_first)])
+    return columns
 
 
-def _field_inverse(matrix, ctx: QFieldContext):
-    size = len(matrix)
-    aug = [list(matrix[i]) + _field_identity(size, ctx)[i] for i in range(size)]
-    for col in range(size):
-        pivot = next(
-            (r for r in range(col, size) if not aug[r][col].is_zero), None
-        )
-        if pivot is None:
-            raise ValueError("matrix is singular over the field")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        head = aug[col][col]
-        aug[col] = [entry if entry.is_zero else entry / head for entry in aug[col]]
-        for r in range(size):
-            if r == col or aug[r][col].is_zero:
-                continue
-            factor = aug[r][col]
-            # a column where the pivot row is zero is left unchanged
-            aug[r] = [
-                a if b.is_zero else a - factor * b for a, b in zip(aug[r], aug[col])
-            ]
-    return tuple(tuple(row[size:]) for row in aug)
-
-
-def _int_inverse(matrix):
-    """Inverse of a unimodular integer matrix, staying in integers."""
-    size = len(matrix)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("integer matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        head = aug[col][col]
-        aug[col] = [entry / head for entry in aug[col]]
-        for r in range(size):
-            if r == col or aug[r][col] == 0:
-                continue
-            factor = aug[r][col]
-            aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    out = []
-    for row in aug:
-        tail = row[size:]
-        if any(entry.denominator != 1 for entry in tail):
-            raise ValueError("matrix inverse is not integral")
-        out.append(tuple(int(entry) for entry in tail))
-    return tuple(out)
-
-
-def _int_matmul(left, right):
-    size = len(left)
+def _companion_inverse(poly: IntPolynomial) -> tuple[tuple[int, ...], ...]:
+    """Inverse of `companion_matrix(poly)` for c_0 = +-1: Xi e_j = e_(j+1)
+    gives Xi^-1 e_(j+1) = e_j, and Xi's last column gives
+    Xi^-1 e_0 = -(e_(N-1) + sum_(i>=1) c_i e_(i-1)) / c_0."""
+    c = poly.coefficients
+    if c[0] not in (1, -1):
+        raise ValueError("companion matrix is not unimodular")
+    size = poly.degree
     return tuple(
-        tuple(sum(left[i][l] * right[l][j] for l in range(size)) for j in range(size))
+        tuple(-c[i + 1] * c[0] if j == 0 else int(j == i + 1) for j in range(size))
         for i in range(size)
     )
-
-
-def _int_matpow(matrix, inverse, power: int):
-    size = len(matrix)
-    out = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
-    base = matrix if power >= 0 else inverse
-    for _ in range(abs(power)):
-        out = _int_matmul(out, base)
-    return out
 
 
 def _read_only_float(matrix) -> np.ndarray:
@@ -435,7 +401,8 @@ class LatticeSigma:
 
     `basis_matrix` is Phi, whose columns are the lattice basis in the
     ((1,0), (0,u_i)) coordinates; `xi` is the unimodular integer matrix
-    with Pi Phi = Phi Xi, so Pi(Sigma) = Sigma holds by construction.
+    with Pi Phi = Phi Xi, so Pi(Sigma) = Sigma holds by construction.  The
+    inverses are closed forms (see `build_lattice`), not eliminations.
     """
 
     model: ModelData
@@ -500,11 +467,15 @@ class LatticeSigma:
 def build_lattice(model: ModelData, pi, y_exponents=None) -> LatticeSigma:
     """Assemble Sigma from the exact Pi matrix.
 
-    Xi is the companion matrix of the characteristic polynomial with roots
-    {q**a : a in Y}; its left eigenrows are Vandermonde in the roots, and
-    the eigencolumns of Pi (triangular, so closed-form) complete the exact
-    intertwiner Phi = V_Pi V.  The identity Pi Phi = Phi Xi is re-verified
-    entry by entry before anything is returned.
+    Xi is the companion matrix of the characteristic polynomial N with
+    roots {q**a : a in Y}; its left eigenrows are Vandermonde in the roots,
+    and the eigencolumns of Pi (diagonal plus a first row, so closed-form)
+    complete the exact intertwiner Phi = V_Pi Vand.  Both inverses are
+    closed forms: Phi^-1 = Vand^-1 V_Pi^-1 from the Lagrange basis of the
+    roots and the two-entry columns of V_Pi, in O(m**2) field operations,
+    and Xi^-1 from the companion form, integral as N(0) = +-1.  The
+    identity Pi Phi = Phi Xi is re-verified entry by entry before anything
+    is returned.
     """
     ctx = model.context()
     if y_exponents is None:
@@ -518,70 +489,103 @@ def build_lattice(model: ModelData, pi, y_exponents=None) -> LatticeSigma:
 
     poly = char_poly_from_exponents(y_sorted, model.p)
     xi = companion_matrix(poly)
-    if abs(det_int(xi)) != 1:
-        raise ValueError("companion matrix is not unimodular")
+    xi_inverse = _companion_inverse(poly)
 
     slots = tuple(sorted(model.system.selector))
     slot_exponents = tuple(model.system.E_of(i) for i in slots)
 
-    # eigencolumns of the triangular Pi, one per exponent
-    eig_columns = []
-    for y in y_sorted:
-        column = [ctx.zero for _ in range(size)]
-        if y == -1:
-            column[0] = ctx.one
+    # V_Pi, the eigencolumns of Pi: column `free` (y = -1) is e_0, and the
+    # column of y = E(slot) is e_slot, or e_0 + value * e_slot when u-hat
+    # couples the slot.  slot_entries[row] = (column, value).
+    free = y_sorted.index(-1)
+    coupled = set()
+    slot_entries = {}
+    for k, y in enumerate(y_sorted):
+        if k == free:
+            continue
+        row = slot_exponents.index(y) + 1
+        top = pi[0][row]
+        if top.is_zero:
+            slot_entries[row] = (k, ctx.one)
         else:
-            position = slot_exponents.index(y) + 1
-            column[position] = ctx.one
-            top = pi[0][position]
-            if not top.is_zero:
-                column[0] = top / (ctx.q_power(y) - ctx.q_inv)
-        head = next(entry for entry in column if not entry.is_zero)
-        eig_columns.append([entry / head for entry in column])
-    v_pi = [[eig_columns[j][i] for j in range(size)] for i in range(size)]
+            coupled.add(k)
+            slot_entries[row] = (k, (ctx.q_power(y) - ctx.q_inv) / top)
 
     # Vandermonde rows (1, lambda, ..., lambda**m): left eigenrows of Xi
-    vand = [
-        [ctx.q_power(y * power) for power in range(size)] for y in y_sorted
-    ]
-    phi = _field_matmul(v_pi, vand, ctx)
-    xi_field = [[ctx.element(v) for v in row] for row in xi]
-    lhs = _field_matmul([list(r) for r in pi], phi, ctx)
-    rhs = _field_matmul(phi, xi_field, ctx)
-    for i in range(size):
-        for j in range(size):
-            if lhs[i][j] != rhs[i][j]:
-                raise ValueError(
-                    f"intertwining identity fails at entry ({i}, {j})"
-                )
-    phi_inv = _field_inverse(phi, ctx)
-    return LatticeSigma(
+    vand = [[ctx.q_power(y * power) for power in range(size)] for y in y_sorted]
+    phi = [None] * size
+    phi[0] = [sum(entries, ctx.zero) for entries in zip(*(vand[k] for k in [free, *coupled]))]
+    for row, (k, value) in slot_entries.items():
+        phi[row] = vand[k] if value == ctx.one else [value * v for v in vand[k]]
+
+    # Phi^-1 e_0 = Vand^-1 e_free, and Phi^-1 e_row is
+    # (Vand^-1 e_k - [k coupled] Vand^-1 e_free) / value
+    vand_inv = _vandermonde_inverse_columns(poly, [ctx.q_power(y) for y in y_sorted], ctx)
+    inv_columns = [vand_inv[free]]
+    for row in range(1, size):
+        k, value = slot_entries[row]
+        column = vand_inv[k]
+        if k in coupled:
+            column = [a - b for a, b in zip(column, vand_inv[free])]
+        if value != ctx.one:
+            scale = value.inverse()
+            column = [entry * scale for entry in column]
+        inv_columns.append(column)
+
+    sigma = LatticeSigma(
         model=model,
         index_set=slots,
         y_exponents=y_sorted,
         pi_matrix=tuple(tuple(row) for row in pi),
         basis_matrix=tuple(tuple(row) for row in phi),
-        basis_matrix_inverse=phi_inv,
+        basis_matrix_inverse=tuple(zip(*inv_columns)),
         xi=xi,
-        xi_inverse=_int_inverse(xi),
+        xi_inverse=xi_inverse,
     )
+    failure = next(_intertwining_mismatches(sigma), None)
+    if failure is not None:
+        raise ValueError(f"intertwining identity fails: {failure}")
+    return sigma
+
+
+def _intertwining_mismatches(sigma: LatticeSigma):
+    """Yield one message per entry where Pi Phi != Phi Xi, or per entry of
+    Pi or Xi outside the shape the products rely on: row i > 0 of Pi Phi is
+    Pi[i][i] times row i of Phi, column j < size - 1 of the companion
+    product Phi Xi is column j + 1 of Phi, and its last column is Phi
+    applied to Xi's integer last column."""
+    size = sigma.size
+    pi, phi, xi = sigma.pi_matrix, sigma.basis_matrix, sigma.xi
+    shape_failures = [
+        f"Pi entry ({i}, {j}) is nonzero outside the diagonal and first row"
+        for i in range(1, size)
+        for j in range(size)
+        if j != i and not pi[i][j].is_zero
+    ] + [
+        f"Xi entry ({i}, {j}) = {xi[i][j]} breaks the companion pattern"
+        for i in range(size)
+        for j in range(size - 1)
+        if xi[i][j] != int(i == j + 1)
+    ]
+    if shape_failures:
+        yield from shape_failures
+        return
+    zero = sigma.model.context().zero
+    first_row = [(l, x) for l, x in enumerate(pi[0]) if not x.is_zero]
+    last = _lattice_column(sigma, [row[-1] for row in xi])
+    for i in range(size):
+        for j in range(size):
+            lhs = pi[i][i] * phi[i][j] if i else sum((x * phi[l][j] for l, x in first_row), zero)
+            rhs = phi[i][j + 1] if j + 1 < size else last[i]
+            if lhs != rhs:
+                yield f"Pi Phi != Phi Xi at entry ({i}, {j})"
 
 
 def intertwining_failures(sigma: LatticeSigma) -> tuple[str, ...]:
     """Re-verify Pi Phi = Phi Xi entry by entry in field arithmetic, and
     that Xi is unimodular — the two facts that make Sigma a Pi-stable
     lattice.  Returns human-readable failure strings, empty when exact."""
-    ctx = sigma.model.context()
-    phi = [list(row) for row in sigma.basis_matrix]
-    pi = [list(row) for row in sigma.pi_matrix]
-    xi_field = [[ctx.element(v) for v in row] for row in sigma.xi]
-    lhs = _field_matmul(pi, phi, ctx)
-    rhs = _field_matmul(phi, xi_field, ctx)
-    failures = []
-    for i in range(sigma.size):
-        for j in range(sigma.size):
-            if lhs[i][j] != rhs[i][j]:
-                failures.append(f"Pi Phi != Phi Xi at entry ({i}, {j})")
+    failures = list(_intertwining_mismatches(sigma))
     determinant = det_int(sigma.xi)
     if determinant not in (1, -1):
         failures.append(f"det Xi = {determinant}, not a unit")
@@ -694,12 +698,7 @@ def certify_ace(
 
     # C: the lattice identity, established in exact arithmetic at build time
     # and re-verified here
-    xi_field = [[ctx.element(v) for v in row] for row in sigma.xi]
-    lhs = _field_matmul([list(r) for r in sigma.pi_matrix], [list(r) for r in sigma.basis_matrix], ctx)
-    rhs = _field_matmul([list(r) for r in sigma.basis_matrix], xi_field, ctx)
-    c_ok = all(
-        lhs[i][j] == rhs[i][j] for i in range(sigma.size) for j in range(sigma.size)
-    ) and abs(det_int(sigma.xi)) == 1
+    c_ok = not intertwining_failures(sigma)
     sections.append(
         {
             "name": "C-lattice-preserved",
@@ -765,34 +764,28 @@ def normal_form(sigma: LatticeSigma, word: Sequence) -> tuple[int, tuple[int, ..
     """Reduce a word over {gamma-hat, gamma-hat inverse} and lattice vectors
     to the pair (r, coords) with word = gamma-hat**r * Phi(coords).
 
-    Each lattice letter is pushed right past the hats that follow it, which
-    conjugates it by Xi once per hat; the surviving lattice parts then add,
-    the restriction of the group law to R x L being plain addition.
+    One pass from left to right keeps the prefix read so far in that form.
+    A lattice letter adds to coords, the restriction of the group law to
+    R x L being plain addition.  A hat letter gamma-hat**e is pushed left
+    past Phi(coords), which conjugates it to Phi(Xi**-e coords).
     """
-    letters = []
+    power = 0
+    coords = (0,) * sigma.size
     for token in word:
         if isinstance(token, str):
             if token == HAT:
-                letters.append((1, None))
+                power, matrix = power + 1, sigma.xi_inverse
             elif token == HAT_INV:
-                letters.append((-1, None))
+                power, matrix = power - 1, sigma.xi
             else:
                 raise ValueError(f"unknown generator token {token!r}")
+            coords = tuple(sum(a * c for a, c in zip(row, coords)) for row in matrix)
         else:
             vec = tuple(int(c) for c in token)
             if len(vec) != sigma.size:
                 raise ValueError(f"lattice letters need {sigma.size} coordinates")
-            letters.append((0, vec))
-    total = sum(exp for exp, _ in letters)
-    coords = [0] * sigma.size
-    for position, (_, vec) in enumerate(letters):
-        if vec is None:
-            continue
-        e_right = sum(exp for exp, _ in letters[position + 1 :])
-        power = _int_matpow(sigma.xi, sigma.xi_inverse, -e_right)
-        for i in range(sigma.size):
-            coords[i] += sum(power[i][j] * vec[j] for j in range(sigma.size))
-    return total, tuple(coords)
+            coords = tuple(c + v for c, v in zip(coords, vec))
+    return power, coords
 
 
 def _chart_coordinates(

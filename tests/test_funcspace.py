@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecsforge.funcspace import (
     ESolution,
@@ -99,6 +101,22 @@ def test_forced_ode_frozen_solution():
     assert forced.deriv(2.0) == pytest.approx(0.775, rel=1e-10)
     assert forced.value(1.0) == pytest.approx(0.0, abs=1e-13)
     assert forced.source_value(2.0) == pytest.approx(0.25, rel=1e-11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coef=st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    power=st.fractions(min_value=-12, max_value=12, max_denominator=30),
+    t=st.floats(min_value=0.05, max_value=20.0),
+)
+def test_monomial_floats_are_the_fraction_expressions(coef, power, t):
+    # value() and deriv() read float forms converted once per instance;
+    # they must equal, bit for bit, the expressions on the Fractions
+    fn = MonomialFn(coef, power)
+    assert fn.value(t) == float(coef) * t ** float(power)
+    expected = 0.0 if power == 0 else float(coef * power) * t ** float(power - 1)
+    assert fn.deriv(t) == expected
+    assert fn == MonomialFn(coef, power) and fn.coef == coef and fn.power == power
 
 
 def test_lincomb_and_timescale_algebra():

@@ -8,14 +8,19 @@ factor.  The group-theoretic content is pinned behaviorally: acting by a
 word and acting by its normal form must move points identically.
 """
 
+import hashlib
+import json
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecsforge.cli import canonical_json
 from ecsforge.deform import DeformedF, PerturbationF0
 from ecsforge.funcspace import ct_eigenbasis, omega
 from ecsforge.model import _field_matmul, build_model
@@ -25,7 +30,6 @@ from ecsforge.quotient import (
     GammaHat,
     HElement,
     LagrangianL,
-    _field_inverse,
     _lattice_column,
     act,
     act_inverse,
@@ -38,6 +42,7 @@ from ecsforge.quotient import (
     h_inverse,
     h_mul,
     holonomy_scaling,
+    intertwining_failures,
     lattice_element,
     make_gamma_hat,
     normal_form,
@@ -176,6 +181,13 @@ def test_lattice_with_u_hat_is_still_exact():
     sections = {s["name"]: s for s in certify_ace(MODEL, L, sigma)}
     assert sections["C-lattice-preserved"]["pass"]
     assert sections["C-lattice-preserved"]["residual"] == "0"
+    # u-hat couples slot 1, so V_Pi has a two-entry column and Phi^-1 takes
+    # the coupled branch of the closed form
+    assert not sigma.pi_matrix[0][1].is_zero
+    identity = [[CTX.one if i == j else CTX.zero for j in range(4)] for i in range(4)]
+    phi, phi_inv = sigma.basis_matrix, sigma.basis_matrix_inverse
+    assert dense_field_matmul(phi, phi_inv, CTX) == identity
+    assert dense_field_matmul(phi_inv, phi, CTX) == identity
 
 
 def dense_field_matmul(left, right, ctx):
@@ -192,13 +204,15 @@ def dense_field_matmul(left, right, ctx):
 @settings(max_examples=10, deadline=None)
 @given(r=st.integers(3, 6), p=st.integers(3, 5))
 def test_field_inverse_and_sparse_matmul_are_exact_on_lattices(r, p):
+    # the closed-form Phi^-1 (Vand^-1 V_Pi^-1) against the dense product,
+    # on both sides
     model = build_model(standard_family(r), p=p)
     ctx = model.context()
     sigma = build_lattice(model, pi_map(model, make_gamma_hat(model), build_lagrangian(model)))
     phi = [list(row) for row in sigma.basis_matrix]
     pi = [list(row) for row in sigma.pi_matrix]
     xi = [[ctx.element(v) for v in row] for row in sigma.xi]
-    phi_inv = [list(row) for row in _field_inverse(phi, ctx)]
+    phi_inv = [list(row) for row in sigma.basis_matrix_inverse]
     identity = [
         [ctx.one if i == j else ctx.zero for j in range(sigma.size)]
         for i in range(sigma.size)
@@ -214,6 +228,82 @@ def lattice_for(r, p):
     model = build_model(standard_family(r), p=p)
     lagrangian = build_lagrangian(model)
     return build_lattice(model, pi_map(model, make_gamma_hat(model), lagrangian)), lagrangian
+
+
+ALL_MODELS = [(r, p) for r in range(3, 14) for p in (3, 4, 5)]  # n = 5..25
+
+
+def lattice_inverse_digest(sigma):
+    """SHA-256 of canonical_json of Phi^-1 (entry JSON) and Xi^-1."""
+    payload = {
+        "basis_matrix_inverse": [
+            [entry.to_json_dict() for entry in row] for row in sigma.basis_matrix_inverse
+        ],
+        "xi_inverse": [list(row) for row in sigma.xi_inverse],
+    }
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+def test_lattice_inverses_match_golden_hashes():
+    # the golden hashes were written with lattice_inverse_digest by the
+    # Gauss-Jordan inverses that the closed forms replace; every byte of
+    # Phi^-1 and Xi^-1 must stay the same at every advertised dimension
+    golden_path = Path(__file__).parent / "golden" / "lattice-inverses.json"
+    golden = json.loads(golden_path.read_text(encoding="utf-8"))
+    digests = {
+        f"n{2 * r - 1}-p{p}": lattice_inverse_digest(lattice_for(r, p)[0])
+        for r, p in ALL_MODELS
+    }
+    assert digests == golden
+
+
+def test_lattice_inverses_are_inverses_on_all_models():
+    # O(m**2) per model: Xi Xi^-1 = I in integers, and Phi (Phi^-1 x) = x
+    # exactly for two fixed integer vectors x
+    for r, p in ALL_MODELS:
+        sigma = lattice_for(r, p)[0]
+        size = sigma.size
+        xi, xi_inv = sigma.xi, sigma.xi_inverse
+        for i in range(size):
+            row = [sum(xi[i][l] * xi_inv[l][j] for l in range(size)) for j in range(size)]
+            assert row == [int(i == j) for j in range(size)], (r, p, i)
+        zero = sigma.model.context().zero
+        for x in (
+            [(-1) ** j * (j + 1) for j in range(size)],
+            [(3 * j + 1) % 7 - 3 for j in range(size)],
+        ):
+            y = [
+                sum((e * c for e, c in zip(row, x)), zero)
+                for row in sigma.basis_matrix_inverse
+            ]
+            back = [sum((e * c for e, c in zip(row, y)), zero) for row in sigma.basis_matrix]
+            assert back == x, (r, p)
+
+
+def test_intertwining_check_reports_a_perturbed_phi_entry():
+    assert intertwining_failures(SIGMA) == ()
+    phi = [list(row) for row in SIGMA.basis_matrix]
+    phi[2][1] = phi[2][1] + CTX.one
+    failures = intertwining_failures(replace(SIGMA, basis_matrix=tuple(map(tuple, phi))))
+    assert "Pi Phi != Phi Xi at entry (2, 1)" in failures
+
+
+def test_intertwining_check_reports_xi_outside_the_companion_pattern():
+    xi = [list(row) for row in SIGMA.xi]
+    xi[0][1] = 1
+    failures = intertwining_failures(replace(SIGMA, xi=tuple(map(tuple, xi))))
+    assert "Xi entry (0, 1) = 1 breaks the companion pattern" in failures
+
+
+def test_intertwining_check_reports_pi_below_the_diagonal():
+    pi = [list(row) for row in SIGMA.pi_matrix]
+    pi[2][1] = CTX.one
+    failures = intertwining_failures(replace(SIGMA, pi_matrix=tuple(map(tuple, pi))))
+    message = "Pi entry (2, 1) is nonzero outside the diagonal and first row"
+    assert message in failures
+    # build_lattice runs the same check before it returns
+    with pytest.raises(ValueError, match=r"Pi entry \(2, 1\)"):
+        build_lattice(MODEL, pi)
 
 
 @settings(max_examples=40, deadline=None)
@@ -455,6 +545,54 @@ def test_normal_form_rejects_garbage():
         normal_form(SIGMA, ["hat_cubed"])
     with pytest.raises(ValueError):
         normal_form(SIGMA, [(1, 2)])
+
+
+def reference_normal_form(sigma, word):
+    """sum_k Xi**(-e_right(k)) v_k over the lattice letters v_k, with
+    e_right(k) the hat exponent to the right of letter k, in exact integer
+    matrix powers."""
+    exponents = [
+        (1 if token == HAT else -1) if isinstance(token, str) else 0 for token in word
+    ]
+    xi = np.array(sigma.xi, dtype=object)
+    xi_inv = np.array(sigma.xi_inverse, dtype=object)
+    coords = np.zeros(sigma.size, dtype=object)
+    for k, token in enumerate(word):
+        if isinstance(token, str):
+            continue
+        e_right = sum(exponents[k + 1 :])
+        power = np.linalg.matrix_power(xi_inv if e_right > 0 else xi, abs(e_right))
+        coords = coords + power @ np.array(token, dtype=object)
+    return sum(exponents), tuple(int(c) for c in coords)
+
+
+def normal_form_words(size):
+    letter = st.tuples(*[st.integers(-3, 3) for _ in range(size)])
+    return st.lists(st.one_of(st.sampled_from([HAT, HAT_INV]), letter), max_size=10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), r=st.integers(3, 5), p=st.integers(3, 5))
+def test_normal_form_is_the_conjugated_sum(data, r, p):
+    sigma = lattice_for(r, p)[0]
+    word = data.draw(normal_form_words(sigma.size))
+    assert normal_form(sigma, word) == reference_normal_form(sigma, word)
+
+
+def test_normal_form_special_words_match_the_conjugated_sum():
+    v, w = (1, -2, 0, 3), (0, 1, 1, -1)
+    for word in (
+        [],
+        [HAT, HAT, HAT_INV, HAT, HAT],
+        [HAT_INV, HAT_INV],
+        [v, w, HAT, w, v, v],
+        [HAT, v, HAT_INV, HAT_INV, w],
+        [HAT_INV, v],
+        [v],
+    ):
+        assert normal_form(SIGMA, word) == reference_normal_form(SIGMA, word), word
+    assert normal_form(SIGMA, []) == (0, (0, 0, 0, 0))
+    assert normal_form(SIGMA, [HAT, HAT, HAT_INV]) == (1, (0, 0, 0, 0))
 
 
 def word_action(word, point):
