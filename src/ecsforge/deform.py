@@ -16,11 +16,13 @@ while f itself is genuinely non-homogeneous.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .exact import QFieldContext
 from .funcspace import OdeFn, transfer_matrix_T
@@ -213,11 +215,12 @@ def solve_a(
 ) -> DeformedF:
     """Tune a so that trace_H(f*, a) equals the unperturbed target at c.
 
-    Bisection on the bracket [c - 1/2, c + 1/2] isolates the root (the
-    trace is strictly increasing in a when the perturbation is small), and
-    a central-difference Newton polish brings the trace residual down to
-    rounding level.  Rejects perturbations with max|g| > (c**2 - 1/4)/2:
-    beyond that the bracket is not guaranteed to contain exactly one root.
+    Brent's bracketed root finder on [c - 1/2, c + 1/2] (the trace is
+    strictly increasing in a when the perturbation is small) converges to
+    rounding level in about ten trace evaluations; the residual at the root
+    is then recomputed and must be within `trace_tol`.  Rejects
+    perturbations with max|g| > (c**2 - 1/4)/2: beyond that the bracket is
+    not guaranteed to contain exactly one root.
     """
     if c <= 0.5:
         raise ValueError(f"half-gap c must exceed 1/2, got {c}")
@@ -230,45 +233,19 @@ def solve_a(
         )
     target = target_trace_value(c, ctx)
 
+    @functools.cache  # brentq evaluates the bracket ends again
     def residual(a: float) -> float:
         return trace_H(fstar, a, ctx) - target
 
     lo, hi = c - 0.5, c + 0.5
-    r_lo, r_hi = residual(lo), residual(hi)
-    if r_lo == 0.0:
-        root = lo
-    elif r_hi == 0.0:
-        root = hi
-    elif r_lo * r_hi > 0:
+    if residual(lo) * residual(hi) > 0:
         raise ValueError(
             "no sign change across [c - 1/2, c + 1/2]: the perturbation "
             "moved the trace outside the bracket"
         )
-    else:
-        for _ in range(30):
-            mid = 0.5 * (lo + hi)
-            r_mid = residual(mid)
-            if r_mid == 0.0:
-                lo = hi = mid
-                break
-            if r_lo * r_mid < 0:
-                hi, r_hi = mid, r_mid
-            else:
-                lo, r_lo = mid, r_mid
-        root = 0.5 * (lo + hi)
-
-    step = 1e-6
-    for _ in range(6):
-        r_root = residual(root)
-        if abs(r_root) <= 0.25 * trace_tol:
-            break
-        slope = (residual(root + step) - residual(root - step)) / (2.0 * step)
-        if slope == 0.0:
-            break
-        delta = r_root / slope
-        root -= delta
-        if abs(delta) < 1e-13 * max(1.0, abs(root)):
-            break
+    # rtol = 4 eps is the smallest brentq accepts; xtol only matters for a
+    # root near 0
+    root = brentq(residual, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
 
     achieved = trace_H(fstar, root, ctx)
     if abs(achieved - target) > trace_tol:

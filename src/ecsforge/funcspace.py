@@ -83,75 +83,51 @@ class MonomialFn:
         return self._slope_f * t ** self._power_m1_f
 
 
-class OdeFn:
-    """A solution of y'' = f(t) y, integrated lazily in log-time.
+class _LogTimeSolution:
+    """A solution of a linear system in log-time, integrated lazily.
 
-    The substitution tau = log t turns the equation into the first-order
-    system Y' = (Y2, Y2 + t**2 f(t) Y1) with t = e^tau, in which the
-    self-similar profiles become literally periodic coefficients; dense
-    output segments are cached and extended on demand in either direction.
+    The substitution tau = log t, with w = t y' in place of y', turns
+    y'' = f(t) y into the first-order system (y, w)' = (w, w + t**2 f(t) y)
+    with t = e^tau, in which the self-similar profiles become literally
+    periodic coefficients.  Subclasses supply the right-hand side `_rhs` and
+    the start state at t0; dense output segments are cached and extended on
+    demand in either direction.
     """
 
-    def __init__(
-        self,
-        profile,
-        y0: float,
-        dy0: float,
-        *,
-        t0: float = 1.0,
-        rtol: float = 1e-12,
-        atol: float = 1e-14,
-    ) -> None:
+    def __init__(self, profile, init, *, t0: float, rtol: float, atol: float) -> None:
         if t0 <= 0:
             raise ValueError("solutions live on t > 0")
         self.profile = profile
         self.rtol = rtol
         self.atol = atol
-        self._tau0 = math.log(t0)
-        self._init = np.array([float(y0), float(dy0) * t0])
-        self._lo = self._hi = self._tau0
+        self._init = np.array(init)
+        self._lo = self._hi = math.log(t0)
         self._state_lo = self._init.copy()
         self._state_hi = self._init.copy()
         self._segments: list[tuple[float, float, object]] = []
 
-    def _rhs(self, tau: float, state):
-        t = math.exp(tau)
-        return (state[1], state[1] + t * t * self.profile.value(t) * state[0])
-
     def _extend(self, tau: float) -> None:
-        margin = 0.5
-        if tau > self._hi:
-            target = tau + margin
-            sol = solve_ivp(
-                self._rhs,
-                (self._hi, target),
-                self._state_hi,
-                method="DOP853",
-                dense_output=True,
-                rtol=self.rtol,
-                atol=self.atol,
-            )
-            if not sol.success:
-                raise RuntimeError(f"integration failed: {sol.message}")
-            self._segments.append((self._hi, target, sol.sol))
-            self._hi = target
-            self._state_hi = sol.y[:, -1].copy()
+        forward = tau > self._hi
+        start, state = (self._hi, self._state_hi) if forward else (self._lo, self._state_lo)
+        target = tau + 0.5 if forward else tau - 0.5
+        sol = solve_ivp(
+            self._rhs,
+            (start, target),
+            state,
+            method="DOP853",
+            dense_output=True,
+            rtol=self.rtol,
+            atol=self.atol,
+        )
+        if not sol.success:
+            raise RuntimeError(f"integration failed: {sol.message}")
+        end_state = sol.y[:, -1].copy()
+        if forward:
+            self._segments.append((start, target, sol.sol))
+            self._hi, self._state_hi = target, end_state
         else:
-            target = tau - margin
-            sol = solve_ivp(
-                self._rhs,
-                (self._lo, target),
-                self._state_lo,
-                method="DOP853",
-                dense_output=True,
-                rtol=self.rtol,
-                atol=self.atol,
-            )
-            if not sol.success:
-                raise RuntimeError(f"integration failed: {sol.message}")
-            self._segments.append((target, self._lo, sol.sol))
-            self._lo = target
-            self._state_lo = sol.y[:, -1].copy()
+            self._segments.append((target, start, sol.sol))
+            self._lo, self._state_lo = target, end_state
 
     def _state(self, t: float):
         if t <= 0:
@@ -164,6 +140,26 @@ class OdeFn:
                 return interp(tau)
         return self._init  # tau is the base point and nothing was integrated yet
 
+
+class OdeFn(_LogTimeSolution):
+    """A solution of y'' = f(t) y with y(t0) = y0, y'(t0) = dy0."""
+
+    def __init__(
+        self,
+        profile,
+        y0: float,
+        dy0: float,
+        *,
+        t0: float = 1.0,
+        rtol: float = 1e-12,
+        atol: float = 1e-14,
+    ) -> None:
+        super().__init__(profile, [float(y0), float(dy0) * t0], t0=t0, rtol=rtol, atol=atol)
+
+    def _rhs(self, tau: float, state):
+        t = math.exp(tau)
+        return (state[1], state[1] + t * t * self.profile.value(t) * state[0])
+
     def value(self, t: float) -> float:
         return float(self._state(t)[0])
 
@@ -171,13 +167,13 @@ class OdeFn:
         return float(self._state(t)[1]) / t
 
 
-class ForcedOdeFn:
+class ForcedOdeFn(_LogTimeSolution):
     """The particular solution of x'' = f x + y with x(1) = x'(1) = 0,
     where y is itself the solution of y'' = f y with the given start data.
 
     Source and response are co-integrated as one four-dimensional linear
-    system (in log-time, like OdeFn), which sidesteps any interpolation of
-    the source into the quadrature."""
+    system, which sidesteps any interpolation of the source into the
+    quadrature."""
 
     def __init__(
         self,
@@ -188,24 +184,14 @@ class ForcedOdeFn:
         rtol: float = 1e-12,
         atol: float = 1e-14,
     ) -> None:
-        self.profile = profile
-        self.rtol = rtol
-        self.atol = atol
-        self._init = np.array([float(source_y0), float(source_dy0), 0.0, 0.0])
-        self._lo = self._hi = 0.0  # tau of the base point t = 1
-        self._state_lo = self._init.copy()
-        self._state_hi = self._init.copy()
-        self._segments: list[tuple[float, float, object]] = []
+        init = [float(source_y0), float(source_dy0), 0.0, 0.0]
+        super().__init__(profile, init, t0=1.0, rtol=rtol, atol=atol)
 
     def _rhs(self, tau: float, state):
         t = math.exp(tau)
         t2f = t * t * self.profile.value(t)
         y, wy, x, wx = state
         return (wy, wy + t2f * y, wx, wx + t2f * x + t * t * y)
-
-    # the lazy-extension plumbing mirrors OdeFn
-    _extend = OdeFn._extend
-    _state = OdeFn._state
 
     def value(self, t: float) -> float:
         return float(self._state(t)[2])
@@ -258,21 +244,29 @@ def transfer_matrix_T(profile, q: float, *, rtol: float = 1e-13, atol: float = 1
     """Matrix of (T y)(t) = y(t/q) on solutions of y'' = f y, in the basis
     of initial conditions (y(1), y'(1)) = (1, 0) and (0, 1).
 
-    Column j holds ((T u_j)(1), (T u_j)'(1)) = (u_j(1/q), u_j'(1/q)/q).  The
+    Column j holds ((T u_j)(1), (T u_j)'(1)) = (u_j(1/q), u_j'(1/q)/q).  Both
+    basis solutions are propagated in one pass, as the fundamental matrix
+    of the log-time system (y1, w1, y2, w2) with w = t y', from tau = 0 to
+    tau = -log q; there w = u'(1/q)/q, so the end state is the matrix.  The
     determinant equals 1/q exactly: T scales the (constant) Wronskian of a
     solution pair by the chain-rule factor 1/q.
     """
     if q <= 1:
         raise ValueError(f"scale q must exceed 1, got {q}")
-    u1 = OdeFn(profile, 1.0, 0.0, rtol=rtol, atol=atol)
-    u2 = OdeFn(profile, 0.0, 1.0, rtol=rtol, atol=atol)
-    s = 1.0 / q
-    return np.array(
-        [
-            [u1.value(s), u2.value(s)],
-            [u1.deriv(s) / q, u2.deriv(s) / q],
-        ]
+
+    def rhs(tau: float, state):
+        t = math.exp(tau)
+        t2f = t * t * profile.value(t)
+        y1, w1, y2, w2 = state
+        return (w1, w1 + t2f * y1, w2, w2 + t2f * y2)
+
+    sol = solve_ivp(
+        rhs, (0.0, -math.log(q)), (1.0, 0.0, 0.0, 1.0), method="DOP853", rtol=rtol, atol=atol
     )
+    if not sol.success:
+        raise RuntimeError(f"integration failed: {sol.message}")
+    y1, w1, y2, w2 = sol.y[:, -1]
+    return np.array([[y1, y2], [w1, w2]])
 
 
 def w_basis(model: ModelData):
@@ -447,11 +441,14 @@ def omega(model: ModelData, u: ESolution, v: ESolution, t: float = 1.0) -> float
 
 
 def omega_matrix(model: ModelData, basis: Sequence[ESolution], t: float = 1.0) -> np.ndarray:
+    """Omega on every pair of `basis`, each solution evaluated once at t."""
+    values = [u.value(t) for u in basis]
+    derivs = [u.deriv(t) for u in basis]
     size = len(basis)
     out = np.zeros((size, size))
     for i in range(size):
         for j in range(size):
-            out[i, j] = omega(model, basis[i], basis[j], t)
+            out[i, j] = model.inner(derivs[i], values[j]) - model.inner(values[i], derivs[j])
     return out
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecsforge import deform
 from ecsforge.deform import (
     DeformedF,
     PerturbationF0,
@@ -27,6 +28,7 @@ from ecsforge.deform import (
 from ecsforge.exact import QFieldContext
 from ecsforge.funcspace import (
     MonomialFn,
+    OdeFn,
     ct_eigenbasis,
     ct_eigencheck_residual,
     expected_omega_matrix,
@@ -51,6 +53,18 @@ UNPERTURBED_TRACE_P3 = {
 }
 
 ZERO = PerturbationF0.zero()
+
+# The six profiles of the certify-deformed benchmark workload: (n, p,
+# harmonic pairs, a_solved as 30 bisection steps and a Newton polish found
+# it).  Any root finder that converges must land within 1e-11 of that.
+WORKLOAD_PROFILES = (
+    (5, 3, ((0.02, 0.01),), 2.5039975433408412),
+    (5, 4, ((0.05, -0.02),), 2.509986127187922),
+    (5, 5, ((0.03, 0.0), (0.01, 0.02)), 2.5079899817989983),
+    (7, 3, ((0.02, 0.01), (0.0, 0.01)), 3.50285639958722),
+    (7, 4, ((0.04, 0.02),), 3.5057116160483686),
+    (7, 5, ((0.01, -0.01), (0.02, 0.0)), 3.504283564629834),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +142,68 @@ def test_solve_a_amplitude_guard():
 def test_solve_a_rejects_tiny_half_gap():
     with pytest.raises(ValueError):
         solve_a(ZERO, 0.5, CTX3)
+
+
+@pytest.mark.parametrize("n, p, coeffs, a_reference", WORKLOAD_PROFILES)
+def test_solve_a_root_and_trace_evaluation_count(monkeypatch, n, p, coeffs, a_reference):
+    calls = []
+
+    def counted(fstar, a, ctx):
+        calls.append(a)
+        return trace_H(fstar, a, ctx)
+
+    monkeypatch.setattr(deform, "trace_H", counted)
+    c = standard_family((n + 1) // 2).k / 2.0
+    df = solve_a(PerturbationF0(coeffs), c, QFieldContext(p))
+    assert len(calls) <= 16  # bisection and a Newton polish made 38
+    assert abs(df.a_solved - a_reference) <= 1e-11
+
+
+def test_solve_a_refuses_bracket_without_sign_change(monkeypatch):
+    # lifting the whole trace curve puts both bracket ends above the target
+    monkeypatch.setattr(deform, "trace_H", lambda fstar, a, ctx: trace_H(fstar, a, ctx) + 1e3)
+    with pytest.raises(ValueError, match="no sign change"):
+        solve_a(PerturbationF0(((0.02, 0.01),)), 2.5, CTX3)
+
+
+def test_solve_a_rechecks_the_trace_at_its_root(monkeypatch):
+    fstar = PerturbationF0(((0.02, 0.01),))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return trace_H(*args)
+
+    monkeypatch.setattr(deform, "trace_H", counted)
+    solve_a(fstar, 2.5, CTX3)
+    final = len(calls)
+
+    # the same run again, with only the last evaluation (the final check)
+    # reading 1e-9 off
+    def off_at_final(*args):
+        calls.append(args)
+        return trace_H(*args) + (1e-9 if len(calls) == final else 0.0)
+
+    calls.clear()
+    monkeypatch.setattr(deform, "trace_H", off_at_final)
+    with pytest.raises(ValueError, match="did not reach"):
+        solve_a(fstar, 2.5, CTX3)
+    assert len(calls) == final
+
+
+@pytest.mark.parametrize("n, p, coeffs, a_solved", WORKLOAD_PROFILES[:3])
+def test_transfer_matrix_is_the_two_solution_construction(n, p, coeffs, a_solved):
+    df = DeformedF(PerturbationF0(coeffs), c=2.5, a_solved=a_solved, target_trace=0.0, p=p)
+    q = float(QFieldContext(p).q)
+    matrix = transfer_matrix_T(df, q)
+    # reference: each basis solution integrated on its own and read back
+    # through its dense output at 1/q
+    u1 = OdeFn(df, 1.0, 0.0, rtol=1e-13, atol=1e-15)
+    u2 = OdeFn(df, 0.0, 1.0, rtol=1e-13, atol=1e-15)
+    s = 1.0 / q
+    reference = np.array([[u1.value(s), u2.value(s)], [u1.deriv(s) / q, u2.deriv(s) / q]])
+    assert np.max(np.abs(matrix - reference)) <= 1e-11 * np.max(np.abs(reference))
+    assert abs(np.linalg.det(matrix) * q - 1.0) <= 1e-12
 
 
 def test_deformed_field_validation():

@@ -37,6 +37,7 @@ from ecsforge.funcspace import (
     wronskian,
 )
 from ecsforge.deform import PerturbationF0, solve_a
+from ecsforge.exact import QFieldContext
 from ecsforge.model import HomogeneousF, build_model
 from ecsforge.spectral import standard_family
 
@@ -218,6 +219,24 @@ def test_omega_worked_example():
     assert omega(model, basis[5], basis[0]) == pytest.approx(5.0, rel=1e-12)
     # the top pair is Omega-orthogonal
     assert omega(model, basis[4], basis[5]) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("deformed", [False, True])
+@pytest.mark.parametrize("r, p", [(3, 3), (4, 5), (6, 5)])
+def test_omega_matrix_is_the_pairwise_omega(r, p, deformed):
+    # omega_matrix evaluates each solution once per t; every entry must still
+    # be, bit for bit, omega() on that pair
+    system = standard_family(r)
+    profile = None
+    if deformed:
+        profile = solve_a(PerturbationF0(((0.02, 0.01),)), system.k / 2.0, QFieldContext(p))
+    model = build_model(system, p=p, f=profile)
+    basis = ct_eigenbasis(model)
+    images = [ct_image(model, u) for u in basis]
+    for t in (1.0, 1.6, 2.3):
+        for sols in (basis, images):
+            pairwise = np.array([[omega(model, u, v, t) for v in sols] for u in sols])
+            assert (omega_matrix(model, sols, t) == pairwise).all()
 
 
 def test_omega_antisymmetry():
