@@ -309,8 +309,9 @@ def w_basis(model: ModelData):
     return tuple(out)
 
 
-def particular_solutions(model: ModelData):
-    """The corrections (z+, z-) that complete the top basis slot.
+def particular_solutions(model: ModelData, scalar_basis):
+    """The corrections (z+, z-) that complete the top basis slot, given the
+    scalar eigenpair (y+, y-) = `w_basis(model)`.
 
     z solves z'' = f z + y and is the unique such solution satisfying
     (qT) z = lambda z with lambda = mu * q**a(m); uniqueness holds because
@@ -341,7 +342,7 @@ def particular_solutions(model: ModelData):
 
     ctx = model.context()
     q = float(ctx.q)
-    y_plus, y_minus = w_basis(model)
+    y_plus, y_minus = scalar_basis
     basis_at_one = np.array(
         [
             [y_plus.value(1.0), y_minus.value(1.0)],
@@ -421,8 +422,9 @@ def ct_eigenbasis(model: ModelData) -> tuple[ESolution, ...]:
     u_i+- = y+- e_i for i < m, and the top pair picks up the forced
     correction on e_1, u_m+- = y+- e_m + z+- e_1.
     """
-    y_plus, y_minus = w_basis(model)
-    z_plus, z_minus = particular_solutions(model)
+    scalar_basis = w_basis(model)
+    y_plus, y_minus = scalar_basis
+    z_plus, z_minus = particular_solutions(model, scalar_basis)
     m = model.m
     basis = []
     for i in range(1, m + 1):

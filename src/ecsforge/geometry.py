@@ -35,7 +35,6 @@ __all__ = [
     "curvature_at",
     "nabla_weyl_residual",
     "nabla_riemann_norm",
-    "olszak_dim",
     "olszak_singular_values",
     "isometry_residual",
     "geodesic_trace",
@@ -462,13 +461,6 @@ def olszak_singular_values(
         return n, tuple(float(s) for s in singulars[:n])
     kernel = int(np.sum(singulars < threshold * top)) + max(0, n - len(singulars))
     return kernel, tuple(float(s) for s in singulars[:n])
-
-
-def olszak_dim(patch: MetricPatch, point, step: float = 1e-4, threshold: float = 1e-7) -> int:
-    x = _as_array(point)
-    weyl = _curvature_core(patch, x, step)[6]
-    dim, _ = olszak_singular_values(weyl, threshold)
-    return dim
 
 
 def isometry_residual(

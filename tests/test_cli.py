@@ -13,7 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from ecsforge import cli
 from ecsforge.cli import DEFAULT_TOLERANCES, build_certificate, canonical_json, main
+from ecsforge.deform import PerturbationF0, solve_a
+from ecsforge.exact import QFieldContext
 from ecsforge.model import ModelData, build_model
 from ecsforge.spectral import standard_family
 
@@ -125,16 +128,47 @@ def test_certificates_are_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("n, p", [(5, 3), (7, 4)])
-def test_certificate_matches_golden_file(n, p):
+@pytest.mark.parametrize(
+    "n, p, coeffs",
+    [(5, 3, ()), (7, 4, ()), (5, 3, ((0.02, 0.01),))],
+    ids=["5-3", "7-4", "5-3-deformed"],
+)
+def test_certificate_matches_golden_file(n, p, coeffs):
     # The golden files pin every byte of a certificate, floats included, so
     # a refactor of the numeric engine must leave each sum in its order.
     # They were written by this same call; a deliberate change of the
-    # output regenerates them with it.
-    model = build_model(standard_family((n + 1) // 2), p=p)
+    # output regenerates them with it.  The deformed model is built as
+    # `generate --deform-coeffs` builds it.
+    system = standard_family((n + 1) // 2)
+    profile = None
+    name = f"certificate-n{n}-p{p}.json"
+    if coeffs:
+        profile = solve_a(PerturbationF0(coeffs), system.k / 2.0, QFieldContext(p))
+        name = f"certificate-n{n}-p{p}-deformed.json"
+    model = build_model(system, p=p, f=profile)
     emitted = canonical_json(build_certificate(model, samples=5, seed=0))
-    golden = (GOLDEN / f"certificate-n{n}-p{p}.json").read_text(encoding="utf-8")
+    golden = (GOLDEN / name).read_text(encoding="utf-8")
     assert emitted == golden
+
+
+def test_intertwining_failure_turns_the_lattice_sections_red(monkeypatch):
+    # Pi Phi = Phi Xi is checked once, when build_lattice runs; a Pi that
+    # breaks it must still fail both sections that report the identity
+    real_pi_map = cli.pi_map
+
+    def tampered_pi_map(model, gamma_hat, lagrangian):
+        rows = [list(row) for row in real_pi_map(model, gamma_hat, lagrangian)]
+        rows[1][1] = rows[1][1] * model.context().q
+        return tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr(cli, "pi_map", tampered_pi_map)
+    model = build_model(standard_family(3), p=3)
+    cert = build_certificate(model, samples=1, seed=0)
+    assert cert["overall_pass"] is False
+    by_name = {s["name"]: s for s in cert["sections"]}
+    for name in ("condition-c", "lattice-intertwining"):
+        assert by_name[name]["pass"] is False
+        assert "intertwining identity fails" in by_name[name]["details"]["failures"][0]
 
 
 def test_tampered_spectrum_fails_the_spectral_section(tmp_path):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecsforge import deform
+from ecsforge import deform, funcspace
 from ecsforge.deform import (
     DeformedF,
     PerturbationF0,
@@ -323,6 +323,21 @@ def test_deformed_model_eigen_machinery():
     exact_ok, worst = verify_ct_omega_scaling(model, basis)
     assert exact_ok
     assert worst < 1e-7
+
+
+def test_ct_eigenbasis_integrates_one_transfer_matrix(monkeypatch):
+    df = solve_a(PerturbationF0(((0.03, 0.01),)), 2.5, CTX3)
+    model = build_model(standard_family(3), 3, f=df)
+    real = funcspace.transfer_matrix_T
+    calls = []
+
+    def counting(profile, q, **kwargs):
+        calls.append(q)
+        return real(profile, q, **kwargs)
+
+    monkeypatch.setattr(funcspace, "transfer_matrix_T", counting)
+    ct_eigenbasis(model)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -62,14 +62,15 @@ def test_wronskian_is_k():
 
 
 def test_particular_solutions_frozen():
-    z_plus, z_minus = particular_solutions(model_for())
+    model = model_for()
+    z_plus, z_minus = particular_solutions(model, w_basis(model))
     assert z_plus == MonomialFn(Fraction(-1, 6), Fraction(0))
     assert z_minus == MonomialFn(Fraction(1, 14), Fraction(5))
 
 
 def test_qt_eigen_identity_of_corrections():
     model = model_for()
-    z_plus, z_minus = particular_solutions(model)
+    z_plus, z_minus = particular_solutions(model, w_basis(model))
     m = model.m
     assert qt_eigen_residual(model, z_plus, model.system.E_of(2 * m - 1)) < 1e-12
     assert qt_eigen_residual(model, z_minus, model.system.E_of(2 * m)) < 1e-12

@@ -25,7 +25,6 @@ from ecsforge.geometry import (
     isometry_residual,
     nabla_riemann_norm,
     nabla_weyl_residual,
-    olszak_dim,
 )
 from ecsforge.model import build_model, kappa
 from ecsforge.quotient import (
@@ -269,8 +268,8 @@ def test_perturbed_metric_is_flagged():
 
 
 def test_olszak_dimension_is_two():
-    assert olszak_dim(PATCH, POINT) == 2
-    assert olszak_dim(PATCH7, POINT7) == 2
+    assert curvature_at(PATCH, POINT).olszak_dimension == 2
+    assert curvature_at(PATCH7, POINT7).olszak_dimension == 2
 
 
 def test_olszak_gap_is_clean():
@@ -287,11 +286,11 @@ def test_rank_two_shift_shrinks_distribution():
     rows[0][m - 1] = 1
     rows[1][m - 2] = 1
     patch = MetricPatch(MODEL7, shift_rows=tuple(tuple(r) for r in rows))
-    assert olszak_dim(patch, POINT7) == 1
+    assert curvature_at(patch, POINT7).olszak_dimension == 1
 
 
 def test_degenerate_weyl_flags_full_dimension():
-    assert olszak_dim(flat_patch(MODEL), POINT) == MODEL.n
+    assert curvature_at(flat_patch(MODEL), POINT).olszak_dimension == MODEL.n
 
 
 # -- isometries -------------------------------------------------------------------

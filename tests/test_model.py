@@ -6,6 +6,7 @@ pinned through the exact dual-route checks.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -114,6 +115,57 @@ def test_exact_dual_route_checks():
                     "tuple_route": True,
                     "field_route": True,
                 }
+
+
+def _dense_field_routes(model):
+    """(C A C**-1 == q**2 A, C h C == h) from dense triple-loop products over
+    the field, every term formed, zeros included."""
+    ctx = model.context()
+    m = model.m
+
+    def field(rows):
+        return [[ctx.element(v) for v in row] for row in rows]
+
+    def scaling(sign):
+        return [
+            [ctx.q_power(sign * model.a[i]) if i == j else ctx.zero for j in range(m)]
+            for i in range(m)
+        ]
+
+    def mul(left, right):
+        return [
+            [sum((left[i][l] * right[l][j] for l in range(m)), ctx.zero) for j in range(m)]
+            for i in range(m)
+        ]
+
+    shift, h = field(model.shift_rows()), field(model.h_rows())
+    q2 = ctx.q_power(2)
+    conjugation = mul(mul(scaling(1), shift), scaling(-1)) == [[q2 * x for x in row] for row in shift]
+    isometry = mul(mul(scaling(1), h), scaling(1)) == h
+    return conjugation, isometry
+
+
+@pytest.mark.parametrize("r, p", [(3, 3), (4, 5)])
+def test_field_routes_reject_a_shifted_exponent_like_the_dense_product(r, p):
+    model = build_model(standard_family(r), p=p)
+    m = model.m
+    for i in range(m):
+        a = list(model.a)
+        a[i] += 1
+        tampered = replace(model, a=tuple(a))
+        dense_conjugation, dense_isometry = _dense_field_routes(tampered)
+        # only a(1) and a(m) meet the single nonzero entry of A
+        assert dense_conjugation == (i not in (0, m - 1))
+        assert conjugation_checks(tampered) == {
+            "exponent_route": dense_conjugation,
+            "field_route": dense_conjugation,
+        }
+        # every a(i) meets the anti-diagonal of h
+        assert dense_isometry is False
+        assert isometry_checks(tampered) == {
+            "exponent_route": False,
+            "field_route": False,
+        }
 
 
 def test_build_model_rejects_bad_inputs():

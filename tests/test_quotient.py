@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from ecsforge.cli import canonical_json
 from ecsforge.deform import DeformedF, PerturbationF0
 from ecsforge.funcspace import ct_eigenbasis, omega
-from ecsforge.model import _field_matmul, build_model
+from ecsforge.model import build_model
 from ecsforge.quotient import (
     HAT,
     HAT_INV,
@@ -210,8 +210,6 @@ def test_field_inverse_and_sparse_matmul_are_exact_on_lattices(r, p):
     ctx = model.context()
     sigma = build_lattice(model, pi_map(model, make_gamma_hat(model), build_lagrangian(model)))
     phi = [list(row) for row in sigma.basis_matrix]
-    pi = [list(row) for row in sigma.pi_matrix]
-    xi = [[ctx.element(v) for v in row] for row in sigma.xi]
     phi_inv = [list(row) for row in sigma.basis_matrix_inverse]
     identity = [
         [ctx.one if i == j else ctx.zero for j in range(sigma.size)]
@@ -219,8 +217,6 @@ def test_field_inverse_and_sparse_matmul_are_exact_on_lattices(r, p):
     ]
     assert dense_field_matmul(phi_inv, phi, ctx) == identity
     assert dense_field_matmul(phi, phi_inv, ctx) == identity
-    for left, right in ((pi, phi), (phi, xi), (phi_inv, phi), (xi, phi_inv)):
-        assert _field_matmul(left, right, ctx) == dense_field_matmul(left, right, ctx)
 
 
 @lru_cache(maxsize=None)
