@@ -206,19 +206,17 @@ def trace_H(fstar: PerturbationF0, a: float, ctx: QFieldContext) -> float:
     return float(matrix[0, 0] + matrix[1, 1])
 
 
-def solve_a(
-    fstar: PerturbationF0,
-    c: float,
-    ctx: QFieldContext,
-    *,
-    trace_tol: float = 1e-10,
-) -> DeformedF:
+# the largest trace residual solve_a accepts at its root
+TRACE_TOL = 1e-10
+
+
+def solve_a(fstar: PerturbationF0, c: float, ctx: QFieldContext) -> DeformedF:
     """Tune a so that trace_H(f*, a) equals the unperturbed target at c.
 
     Brent's bracketed root finder on [c - 1/2, c + 1/2] (the trace is
     strictly increasing in a when the perturbation is small) converges to
     rounding level in about ten trace evaluations; the residual at the root
-    is then recomputed and must be within `trace_tol`.  Rejects
+    is then recomputed and must be within `TRACE_TOL`.  Rejects
     perturbations with max|g| > (c**2 - 1/4)/2: beyond that the bracket is
     not guaranteed to contain exactly one root.
     """
@@ -248,10 +246,10 @@ def solve_a(
     root = brentq(residual, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
 
     achieved = trace_H(fstar, root, ctx)
-    if abs(achieved - target) > trace_tol:
+    if abs(achieved - target) > TRACE_TOL:
         raise ValueError(
             f"trace residual {abs(achieved - target):.3e} did not reach "
-            f"{trace_tol:.1e}; the root finder stalled"
+            f"{TRACE_TOL:.1e}; the root finder stalled"
         )
     return DeformedF(
         perturbation=fstar,

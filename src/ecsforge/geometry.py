@@ -173,24 +173,39 @@ def _as_point(x: np.ndarray):
     return (float(x[0]), float(x[1]), np.array(x[2:], dtype=float))
 
 
-def _christoffel_jet(patch: MetricPatch, x: np.ndarray, step: float):
-    """Gamma and its coordinate derivatives dG[c, a, b, d] = d_c Gamma^a_{bd},
-    by Richardson-extrapolated central differences (the s-derivative is
-    structurally zero and skipped)."""
-    n = patch.n
-    gamma = patch.christoffel(x)
-    jet = np.zeros((n, n, n, n))
+def _richardson_partials(
+    evaluate: Callable[[np.ndarray], Sequence[np.ndarray]],
+    x: np.ndarray,
+    step: float,
+    base: Sequence[np.ndarray],
+) -> list[np.ndarray]:
+    """Coordinate derivatives of the arrays `evaluate` returns, one jet per
+    array with jet[c] = d_c F, matching the arrays `base` in shape.
+
+    Richardson-extrapolated central differences (4 D(h/2) - D(h)) / 3, with
+    the t-step relative to t.  Nothing depends on s, so the s-derivative is
+    structurally zero and skipped.  Only one pair of offset evaluations is
+    alive at a time.
+    """
+    n = x.size
+    jets = [np.zeros((n,) + array.shape) for array in base]
+
+    def difference(offset: np.ndarray, width: float) -> list[np.ndarray]:
+        plus, minus = evaluate(x + offset), evaluate(x - offset)
+        return [(a - b) / width for a, b in zip(plus, minus)]
+
     for c in range(n):
         if c == 1:
             continue
         h = step * abs(x[0]) if c == 0 else step
         offset = np.zeros(n)
         offset[c] = h
-        coarse = (patch.christoffel(x + offset) - patch.christoffel(x - offset)) / (2 * h)
+        coarse = difference(offset, 2 * h)
         offset[c] = h / 2
-        fine = (patch.christoffel(x + offset) - patch.christoffel(x - offset)) / h
-        jet[c] = (4.0 * fine - coarse) / 3.0
-    return gamma, jet
+        fine = difference(offset, h)
+        for jet, coarse_k, fine_k in zip(jets, coarse, fine):
+            jet[c] = (4.0 * fine_k - coarse_k) / 3.0
+    return jets
 
 
 def _curvature_core(patch: MetricPatch, x: np.ndarray, step: float):
@@ -198,7 +213,9 @@ def _curvature_core(patch: MetricPatch, x: np.ndarray, step: float):
     n = patch.n
     g = patch.metric(x)
     g_inv = patch.metric_inverse(x)
-    gamma, jet = _christoffel_jet(patch, x, step)
+    # jet[c, a, b, d] = d_c Gamma^a_{bd}
+    gamma = patch.christoffel(x)
+    (jet,) = _richardson_partials(lambda y: (patch.christoffel(y),), x, step, (gamma,))
     # R^a_{bcd} = d_c G^a_{db} - d_d G^a_{cb} + G^a_{ce} G^e_{db} - G^a_{de} G^e_{cb}
     riemann_up = (
         np.einsum("cadb->abcd", jet)
@@ -343,33 +360,19 @@ def _covariant_norms(
     each given as a selector from the curvature core; `base_core` is the
     core at x itself.
 
-    The partial-derivative part uses Richardson central differences of the
-    components; each offset core is computed once and serves every
-    selector, and only one pair of offset cores is alive at a time.  The
-    connection corrections close the covariant derivative.  Nothing
-    depends on s, and no Christoffel symbol carries a lower s index, so
-    the s-slot of the derivative is identically zero.
+    The partial-derivative part differences the components with
+    `_richardson_partials`; each offset core is computed once and serves
+    every selector.  The connection corrections close the covariant
+    derivative.  No Christoffel symbol carries a lower s index, so the
+    s-slot of the derivative is identically zero.
     """
-    n = patch.n
     tensors = [extract(base_core) for extract in extractors]
-    partials = [np.zeros((n,) + tensor.shape) for tensor in tensors]
 
-    def difference(offset: np.ndarray, width: float) -> list[np.ndarray]:
-        plus = _curvature_core(patch, x + offset, step)
-        minus = _curvature_core(patch, x - offset, step)
-        return [(extract(plus) - extract(minus)) / width for extract in extractors]
+    def selected(y: np.ndarray) -> list[np.ndarray]:
+        core = _curvature_core(patch, y, step)
+        return [extract(core) for extract in extractors]
 
-    for c in range(n):
-        if c == 1:
-            continue
-        h = derivative_step * abs(x[0]) if c == 0 else derivative_step
-        offset = np.zeros(n)
-        offset[c] = h
-        coarse = difference(offset, 2 * h)
-        offset[c] = h / 2
-        fine = difference(offset, h)
-        for partial, coarse_k, fine_k in zip(partials, coarse, fine):
-            partial[c] = (4.0 * fine_k - coarse_k) / 3.0
+    partials = _richardson_partials(selected, x, derivative_step, tensors)
     gamma = base_core[2]
     norms = []
     for partial, tensor in zip(partials, tensors):
@@ -424,9 +427,11 @@ def nabla_riemann_norm(
     return nabla / norm
 
 
-def olszak_singular_values(
-    weyl: np.ndarray, threshold: float = 1e-7
-) -> tuple[int, tuple[float, ...]]:
+# singular values below this fraction of the largest count as zero
+OLSZAK_THRESHOLD = 1e-7
+
+
+def olszak_singular_values(weyl: np.ndarray) -> tuple[int, tuple[float, ...]]:
     """Dimension of {xi : xi wedge W(e_a, e_b, ., .) = 0 for all a, b},
     with the singular values of the defining linear system.
 
@@ -459,7 +464,7 @@ def olszak_singular_values(
     top = singulars[0]
     if top < 1e-13:
         return n, tuple(float(s) for s in singulars[:n])
-    kernel = int(np.sum(singulars < threshold * top)) + max(0, n - len(singulars))
+    kernel = int(np.sum(singulars < OLSZAK_THRESHOLD * top)) + max(0, n - len(singulars))
     return kernel, tuple(float(s) for s in singulars[:n])
 
 

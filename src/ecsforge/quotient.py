@@ -2,19 +2,18 @@
 
 Two isometry families act on the model space (0, oo) x R x L_vec:
 
-* gamma-hat rescales t by q, twists s by 1/q plus an affine correction, and
-  moves v by the scaling C and a chosen solution u-hat;
+* gamma-hat rescales t by q, s by 1/q, and v by the scaling C;
 * the Heisenberg group H = R x E of elements (r, u) acting at fixed t.
 
 Conjugation by gamma-hat induces the linear map Pi on H.  On the subspace
-R x L spanned by the R-factor and the selected eigenbasis slots, Pi has
-matrix diag(1/q, q**E(i)) plus a first row coupling to u-hat, and its
-spectrum {q**a : a in Y} matches a unimodular integer matrix Xi (the
-companion matrix of the associated characteristic polynomial).  The exact
-intertwiner Phi with Pi Phi = Phi Xi is assembled from eigenvectors of Pi
-and Vandermonde left-eigenrows of Xi; its integer span is the lattice Sigma
-preserved by Pi.  Everything in that chain is quadratic-field arithmetic —
-the only floats live in the point actions and the chart reduction.
+R x L spanned by the R-factor and the selected eigenbasis slots, Pi is
+diag(1/q, q**E(i)), and its spectrum {q**a : a in Y} matches a unimodular
+integer matrix Xi (the companion matrix of the associated characteristic
+polynomial).  The exact intertwiner Phi with Pi Phi = Phi Xi is the
+Vandermonde matrix of Pi's eigenvalues, whose rows are left eigenrows of
+Xi; its integer span is the lattice Sigma preserved by Pi.  Everything in
+that chain is quadratic-field arithmetic — the only floats live in the
+point actions and the chart reduction.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,17 +75,9 @@ HAT_INV = "hat_inv"
 
 @dataclass(frozen=True)
 class GammaHat:
-    """The distinguished isometry: t -> qt, s -> s/q + correction, v -> Cv + u-hat.
-
-    `u_hat_coeffs` spells u-hat exactly over the CT eigenbasis (all 2m
-    slots), so that the pairing values entering Pi stay exact; `u_hat` is
-    the same vector materialized for point actions, None meaning zero.
-    """
+    """The distinguished isometry (t, s, v) -> (qt, s/q, Cv)."""
 
     model: ModelData
-    r_hat: float = 0.0
-    u_hat: ESolution | None = None
-    u_hat_coeffs: tuple[Fraction, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -98,23 +89,8 @@ class HElement:
     u: ESolution | None = None
 
 
-def make_gamma_hat(
-    model: ModelData,
-    r_hat: float = 0.0,
-    u_hat_coeffs: Sequence = (),
-    basis: Sequence[ESolution] | None = None,
-) -> GammaHat:
-    coeffs = tuple(Fraction(c) for c in u_hat_coeffs)
-    if all(c == 0 for c in coeffs):
-        return GammaHat(model, float(r_hat), None, ())
-    if len(coeffs) != 2 * model.m:
-        raise ValueError(
-            f"u_hat needs one coefficient per eigenbasis slot (2m = {2 * model.m})"
-        )
-    if basis is None:
-        basis = ct_eigenbasis(model)
-    u_hat = _combine(model.m, [(float(c), basis[x]) for x, c in enumerate(coeffs) if c])
-    return GammaHat(model, float(r_hat), u_hat, coeffs)
+def make_gamma_hat(model: ModelData) -> GammaHat:
+    return GammaHat(model)
 
 
 def _combine(m: int, terms: Sequence[tuple[float, ESolution]]) -> ESolution:
@@ -141,14 +117,7 @@ def act(element: GammaHat | HElement, point) -> tuple:
     if isinstance(element, GammaHat):
         model = element.model
         q = float(model.context().q)
-        tq = q * t
-        cv = _apply_scaling(model, v)
-        if element.u_hat is None:
-            return (tq, element.r_hat + s / q, cv)
-        uh = element.u_hat.value(tq)
-        wh = element.u_hat.deriv(tq)
-        s_new = -model.inner(wh, 2 * cv + uh) + element.r_hat + s / q
-        return (tq, s_new, cv + uh)
+        return (q * t, s / q, _apply_scaling(model, v))
     if isinstance(element, HElement):
         model = element.model
         if element.u is None:
@@ -168,13 +137,7 @@ def act_inverse(element: GammaHat | HElement, point) -> tuple:
     model = element.model
     q = float(model.context().q)
     v1 = np.asarray(v1, dtype=float)
-    if element.u_hat is None:
-        return (t1 / q, q * (s1 - element.r_hat), _apply_scaling(model, v1, invert=True))
-    uh = element.u_hat.value(t1)
-    wh = element.u_hat.deriv(t1)
-    w = v1 - uh
-    s = q * (s1 - element.r_hat + model.inner(wh, 2 * w + uh))
-    return (t1 / q, s, _apply_scaling(model, w, invert=True))
+    return (t1 / q, q * s1, _apply_scaling(model, v1, invert=True))
 
 
 def act_power(element: GammaHat | HElement, point, exponent: int) -> tuple:
@@ -203,29 +166,20 @@ def act_jacobian(element: GammaHat | HElement, point) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     model = element.model
     m = model.m
-    hmat = np.array(model.h_rows(), dtype=float)
     jac = np.zeros((m + 2, m + 2))
     if isinstance(element, GammaHat):
         q = float(model.context().q)
-        tq = q * t
         factors = np.array([float(model.context().q_power(ai)) for ai in model.a])
         jac[0, 0] = q
         jac[1, 1] = 1.0 / q
         jac[2:, 2:] = np.diag(factors)
-        if element.u_hat is not None:
-            cv = factors * v
-            uh = np.asarray(element.u_hat.value(tq), dtype=float)
-            wh = np.asarray(element.u_hat.deriv(tq), dtype=float)
-            acc = float(model.f.value(tq)) * uh + np.array(model.apply_shift(uh))
-            jac[1, 0] = -q * (model.inner(acc, 2 * cv + uh) + model.inner(wh, wh))
-            jac[1, 2:] = -2.0 * factors * (hmat @ wh)
-            jac[2:, 0] = q * wh
         return jac
     if isinstance(element, HElement):
         jac[0, 0] = 1.0
         jac[1, 1] = 1.0
         jac[2:, 2:] = np.eye(m)
         if element.u is not None:
+            hmat = np.array(model.h_rows(), dtype=float)
             ut = np.asarray(element.u.value(t), dtype=float)
             wt = np.asarray(element.u.deriv(t), dtype=float)
             acc = float(model.f.value(t)) * ut + np.array(model.apply_shift(ut))
@@ -302,56 +256,22 @@ def build_lagrangian(
 # the conjugation operator Pi on R x L
 
 
-def _exact_omega_value(model: ModelData, i: int, j: int) -> Fraction:
-    """Omega(u_i, u_j) for eigenbasis slots, from the frozen pairing table:
-    zero unless i + j = 2m + 1, else -+ k*eps by the parity of i."""
-    if i + j != 2 * model.m + 1:
-        return Fraction(0)
-    return Fraction(-model.k * model.eps if i % 2 == 1 else model.k * model.eps)
-
-
 def pi_map(model: ModelData, gamma_hat: GammaHat, lagrangian: LagrangianL):
-    """Exact matrix of Pi(r, u) = (2 Omega(CTu, u-hat) + r/q, CTu) in the
-    basis ((1,0), (0,u_i) for i in S).
-
-    The diagonal is (1/q, q**E(i)); the first row couples each u_i to u-hat
-    through 2 q**E(i) Omega(u_i, u-hat), evaluated from the exact pairing
-    table (Omega(CTu_i, u-hat) = q**E(i) Omega(u_i, u-hat)).
-    """
+    """Exact matrix of Pi(r, u) = (r/q, CTu), conjugation by `gamma_hat`, in
+    the basis ((1,0), (0,u_i) for i in S): diag(1/q, q**E(i)), since each
+    u_i is a CT eigenvector with eigenvalue q**E(i)."""
     ctx = model.context()
-    if gamma_hat.u_hat_coeffs and not isinstance(model.f, HomogeneousF):
-        raise ValueError(
-            "exact Pi with u_hat != 0 needs the power-law profile, whose "
-            "pairing table is integral; use the default u_hat = 0 instead"
-        )
-    size = len(lagrangian.index_set) + 1
-    rows = [[ctx.zero for _ in range(size)] for _ in range(size)]
-    rows[0][0] = ctx.q_inv
-    for col, slot in enumerate(lagrangian.index_set, start=1):
-        exponent = model.system.E_of(slot)
-        rows[col][col] = ctx.q_power(exponent)
-        if gamma_hat.u_hat_coeffs:
-            pairing = sum(
-                (
-                    c * _exact_omega_value(model, slot, x)
-                    for x, c in enumerate(gamma_hat.u_hat_coeffs, start=1)
-                ),
-                Fraction(0),
-            )
-            if pairing:
-                rows[0][col] = ctx.element(2 * pairing) * ctx.q_power(exponent)
-    return tuple(tuple(row) for row in rows)
+    diagonal = [ctx.q_inv, *(ctx.q_power(model.system.E_of(i)) for i in lagrangian.index_set)]
+    return tuple(
+        tuple(x if j == i else ctx.zero for j in range(len(diagonal)))
+        for i, x in enumerate(diagonal)
+    )
 
 
 def pi_apply_numeric(model: ModelData, gamma_hat: GammaHat, element: HElement) -> HElement:
     """Pi as a map on actual group elements, for cross-checking the matrix."""
-    if element.u is None:
-        return HElement(model, element.r / float(model.context().q), None)
-    moved = ct_image(model, element.u)
-    twist = 0.0
-    if gamma_hat.u_hat is not None:
-        twist = 2.0 * omega(model, moved, gamma_hat.u_hat)
-    return HElement(model, twist + element.r / float(model.context().q), moved)
+    moved = ct_image(model, element.u) if element.u is not None else None
+    return HElement(model, element.r / float(model.context().q), moved)
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +328,11 @@ class LatticeSigma:
     """The lattice Sigma = Phi(Z**(m+1)) in R x L, carried by exact data.
 
     `basis_matrix` is Phi, whose columns are the lattice basis in the
-    ((1,0), (0,u_i)) coordinates; `xi` is the unimodular integer matrix
-    with Pi Phi = Phi Xi, so Pi(Sigma) = Sigma holds by construction.  The
-    inverses are closed forms (see `build_lattice`), not eliminations.
+    ((1,0), (0,u_i)) coordinates; row i of Phi is the Vandermonde row
+    (1, lambda_i, ..., lambda_i**m) of Pi's i-th diagonal entry.  `xi` is
+    the unimodular integer matrix with Pi Phi = Phi Xi, so Pi(Sigma) =
+    Sigma holds by construction.  The inverses are closed forms (see
+    `build_lattice`), not eliminations.
     Only `build_lattice` makes a verified lattice: it checks Pi Phi = Phi Xi
     and det Xi = +-1 and refuses one that fails them.
     """
@@ -474,26 +396,22 @@ class LatticeSigma:
         }
 
 
-def build_lattice(model: ModelData, pi, y_exponents=None) -> LatticeSigma:
+def build_lattice(model: ModelData, pi) -> LatticeSigma:
     """Assemble Sigma from the exact Pi matrix.
 
     Xi is the companion matrix of the characteristic polynomial N with
-    roots {q**a : a in Y}; its left eigenrows are Vandermonde in the roots,
-    and the eigencolumns of Pi (diagonal plus a first row, so closed-form)
-    complete the exact intertwiner Phi = V_Pi Vand.  Both inverses are
-    closed forms: Phi^-1 = Vand^-1 V_Pi^-1 from the Lagrange basis of the
-    roots and the two-entry columns of V_Pi, in O(m**2) field operations,
-    and Xi^-1 from the companion form, integral as N(0) = +-1.  The
-    identity Pi Phi = Phi Xi and det Xi = +-1 are verified by
-    `intertwining_failures` before anything is returned; the first failure
-    raises.
+    roots {q**a : a in Y}, and its left eigenrows are the Vandermonde rows
+    (1, lambda, ..., lambda**m) of the roots.  Pi = diag(1/q, q**E(i)) is
+    diagonal, so Phi is the Vandermonde matrix with its rows in slot order:
+    row 0 for 1/q, row i for q**E(i).  Both inverses are closed forms:
+    column i of Phi^-1 is the Lagrange-basis column of row i's root, in
+    O(m**2) field operations, and Xi^-1 comes from the companion form,
+    integral as N(0) = +-1.  The identity Pi Phi = Phi Xi and det Xi = +-1
+    are verified by `intertwining_failures` before anything is returned;
+    the first failure raises.
     """
     ctx = model.context()
-    if y_exponents is None:
-        y_exponents = model.system.exponent_spectrum
-    y_sorted = tuple(sorted(y_exponents))
-    if len(set(y_sorted)) != len(y_sorted):
-        raise ValueError("spectrum exponents must be distinct")
+    y_sorted = tuple(sorted(model.system.exponent_spectrum))
     size = len(y_sorted)
     if len(pi) != size:
         raise ValueError(f"Pi is {len(pi)}x{len(pi)} but Y has {size} exponents")
@@ -503,45 +421,10 @@ def build_lattice(model: ModelData, pi, y_exponents=None) -> LatticeSigma:
     xi_inverse = _companion_inverse(poly)
 
     slots = tuple(sorted(model.system.selector))
-    slot_exponents = tuple(model.system.E_of(i) for i in slots)
-
-    # V_Pi, the eigencolumns of Pi: column `free` (y = -1) is e_0, and the
-    # column of y = E(slot) is e_slot, or e_0 + value * e_slot when u-hat
-    # couples the slot.  slot_entries[row] = (column, value).
-    free = y_sorted.index(-1)
-    coupled = set()
-    slot_entries = {}
-    for k, y in enumerate(y_sorted):
-        if k == free:
-            continue
-        row = slot_exponents.index(y) + 1
-        top = pi[0][row]
-        if top.is_zero:
-            slot_entries[row] = (k, ctx.one)
-        else:
-            coupled.add(k)
-            slot_entries[row] = (k, (ctx.q_power(y) - ctx.q_inv) / top)
-
-    # Vandermonde rows (1, lambda, ..., lambda**m): left eigenrows of Xi
-    vand = [[ctx.q_power(y * power) for power in range(size)] for y in y_sorted]
-    phi = [None] * size
-    phi[0] = [sum(entries, ctx.zero) for entries in zip(*(vand[k] for k in [free, *coupled]))]
-    for row, (k, value) in slot_entries.items():
-        phi[row] = vand[k] if value == ctx.one else [value * v for v in vand[k]]
-
-    # Phi^-1 e_0 = Vand^-1 e_free, and Phi^-1 e_row is
-    # (Vand^-1 e_k - [k coupled] Vand^-1 e_free) / value
+    row_exponents = (-1, *(model.system.E_of(i) for i in slots))
+    phi = [[ctx.q_power(y * power) for power in range(size)] for y in row_exponents]
     vand_inv = _vandermonde_inverse_columns(poly, [ctx.q_power(y) for y in y_sorted], ctx)
-    inv_columns = [vand_inv[free]]
-    for row in range(1, size):
-        k, value = slot_entries[row]
-        column = vand_inv[k]
-        if k in coupled:
-            column = [a - b for a, b in zip(column, vand_inv[free])]
-        if value != ctx.one:
-            scale = value.inverse()
-            column = [entry * scale for entry in column]
-        inv_columns.append(column)
+    inv_columns = [vand_inv[y_sorted.index(y)] for y in row_exponents]
 
     sigma = LatticeSigma(
         model=model,
@@ -565,16 +448,16 @@ def intertwining_failures(sigma: LatticeSigma) -> tuple[str, ...]:
     Returns human-readable failure strings, empty when exact.
 
     A failure is one entry where Pi Phi != Phi Xi, or one entry of Pi or Xi
-    outside the shape the products rely on: row i > 0 of Pi Phi is Pi[i][i]
-    times row i of Phi, column j < size - 1 of the companion product Phi Xi
-    is column j + 1 of Phi, and its last column is Phi applied to Xi's
-    integer last column.
+    outside the shape the products rely on: Pi is diagonal, so row i of
+    Pi Phi is Pi[i][i] times row i of Phi; column j < size - 1 of the
+    companion product Phi Xi is column j + 1 of Phi, and its last column is
+    Phi applied to Xi's integer last column.
     """
     size = sigma.size
     pi, phi, xi = sigma.pi_matrix, sigma.basis_matrix, sigma.xi
     failures = [
-        f"Pi entry ({i}, {j}) is nonzero outside the diagonal and first row"
-        for i in range(1, size)
+        f"Pi entry ({i}, {j}) is nonzero off the diagonal"
+        for i in range(size)
         for j in range(size)
         if j != i and not pi[i][j].is_zero
     ] + [
@@ -584,12 +467,10 @@ def intertwining_failures(sigma: LatticeSigma) -> tuple[str, ...]:
         if xi[i][j] != int(i == j + 1)
     ]
     if not failures:
-        zero = sigma.model.context().zero
-        first_row = [(l, x) for l, x in enumerate(pi[0]) if not x.is_zero]
         last = _lattice_column(sigma, [row[-1] for row in xi])
         for i in range(size):
             for j in range(size):
-                lhs = pi[i][i] * phi[i][j] if i else sum((x * phi[l][j] for l, x in first_row), zero)
+                lhs = pi[i][i] * phi[i][j]
                 rhs = phi[i][j + 1] if j + 1 < size else last[i]
                 if lhs != rhs:
                     failures.append(f"Pi Phi != Phi Xi at entry ({i}, {j})")
@@ -634,16 +515,14 @@ def lattice_element(
 # ---------------------------------------------------------------------------
 # condition certification
 
+# the t values of the numeric B and D cross-checks
+OMEGA_TS = (1.0, 1.5, 2.2)
+# the log-spaced grid of one period for E, and its condition-number bound
+EVALUATION_POINTS = 20
+CONDITION_BOUND = 1e8
 
-def certify_ace(
-    model: ModelData,
-    lagrangian: LagrangianL,
-    sigma: LatticeSigma,
-    *,
-    omega_ts: Sequence[float] = (1.0, 1.5, 2.2),
-    evaluation_points: int = 20,
-    condition_bound: float = 1e8,
-) -> list[dict]:
+
+def certify_ace(model: ModelData, lagrangian: LagrangianL, sigma: LatticeSigma) -> list[dict]:
     """Certify the five quotient conditions, one section per letter.
 
     A, B, C, D carry exact integer/field routes (residual "0"); their
@@ -684,7 +563,7 @@ def certify_ace(
     for slot, u in zip(slots, lagrangian.basis):
         lam = float(ctx.q_power(model.system.E_of(slot)))
         image = ct_image(model, u)
-        for t in omega_ts:
+        for t in OMEGA_TS:
             lhs = image.value(t)
             rhs = lam * u.value(t)
             worst_b = max(
@@ -722,7 +601,7 @@ def certify_ace(
     # zero on L; the numeric maximum over sampled t double-checks it
     d_exact = all(i + j != 2 * m + 1 for i in slots for j in slots)
     worst_d = 0.0
-    for t in omega_ts:
+    for t in OMEGA_TS:
         for u in lagrangian.basis:
             for w in lagrangian.basis:
                 worst_d = max(worst_d, abs(omega(model, u, w, t)))
@@ -740,12 +619,12 @@ def certify_ace(
     # E: evaluation isomorphism across one period
     min_diag = math.inf
     max_cond = 0.0
-    for t in np.geomspace(1.0 / q, q, evaluation_points):
+    for t in np.geomspace(1.0 / q, q, EVALUATION_POINTS):
         matrix = lagrangian.evaluation_matrix(float(t))
         diag = np.diag(matrix)
         min_diag = min(min_diag, float(np.min(diag)))
         max_cond = max(max_cond, float(np.linalg.cond(matrix)))
-    e_pass = min_diag > 0 and max_cond < condition_bound
+    e_pass = min_diag > 0 and max_cond < CONDITION_BOUND
     sections.append(
         {
             "name": "E-evaluation-isomorphism",
@@ -755,7 +634,7 @@ def certify_ace(
             "details": {
                 "min_diagonal": min_diag,
                 "max_condition": max_cond,
-                "points": evaluation_points,
+                "points": EVALUATION_POINTS,
             },
         }
     )
@@ -840,8 +719,7 @@ def canonicalize(
     r = -math.floor(math.log(t) / math.log(q))
     current = act_power(gamma_hat, (t, s, np.asarray(v, dtype=float)), r)
 
-    t1, z, coeffs = _chart_coordinates(model, lagrangian, current)
-    w = sigma.phi_inv_float() @ np.concatenate(([z], coeffs))
+    t1, w = fundamental_coordinates(current, sigma, lagrangian)
     shift = np.floor(w).astype(int)
     reduced = sigma.phi_float() @ (w - shift)
     z2, coeffs2 = float(reduced[0]), reduced[1:]

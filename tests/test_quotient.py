@@ -3,7 +3,7 @@
 The n = 5 instance is small enough that every exact object has a frozen
 hand value: the evaluation matrix at t = 1, the companion matrix of
 (x**2 - 3x + 1)(x**2 - 18x + 1) = x**4 - 21x**3 + 56x**2 - 21x + 1, the
-pairing entry -10 q**3 for u-hat = u_6, and the (3 - sqrt 5)/2 holonomy
+diagonal Pi = diag(1/q, q**3, q**-3, q) and the (3 - sqrt 5)/2 holonomy
 factor.  The group-theoretic content is pinned behaviorally: acting by a
 word and acting by its normal form must move points identically.
 """
@@ -21,13 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecsforge.cli import canonical_json
-from ecsforge.deform import DeformedF, PerturbationF0
 from ecsforge.funcspace import ct_eigenbasis, omega
 from ecsforge.model import build_model
 from ecsforge.quotient import (
     HAT,
     HAT_INV,
-    GammaHat,
     HElement,
     LagrangianL,
     _lattice_column,
@@ -115,41 +113,21 @@ def test_pi_matrix_diagonal_exact():
     assert pi[0][0] == CTX.q_inv
     for col, slot in enumerate(L.index_set, start=1):
         assert pi[col][col] == CTX.q_power(MODEL.system.E_of(slot))
-    # no coupling without u-hat
-    for col in range(1, 4):
-        assert pi[0][col].is_zero
-
-
-def test_pi_matrix_u_hat_coupling_frozen():
-    # u-hat = u_6: only the slot-1 column couples (1 + 6 = 2m + 1), with
-    # 2 q**E(1) Omega(u_1, u_6) = 2 q**3 (-5) = -10 q**3
-    gh = make_gamma_hat(MODEL, u_hat_coeffs=(0, 0, 0, 0, 0, 1), basis=BASIS)
-    pi = pi_map(MODEL, gh, L)
-    assert pi[0][1] == CTX.element(-10) * CTX.q_power(3)
-    assert pi[0][2].is_zero and pi[0][3].is_zero
-    # numeric route through the actual conjugation formula
+    assert [MODEL.system.E_of(slot) for slot in L.index_set] == [3, -3, 1]
+    for i in range(4):
+        for j in range(4):
+            assert i == j or pi[i][j].is_zero
+    # numeric route through the actual conjugation formula: Pi moves each
+    # basis column (0, u_slot) to (0, q**E u_slot)
     for col, slot in enumerate(L.index_set, start=1):
-        moved = pi_apply_numeric(MODEL, gh, HElement(MODEL, 0.0, BASIS[slot - 1]))
-        assert moved.r == pytest.approx(float(pi[0][col]), abs=1e-9)
+        moved = pi_apply_numeric(MODEL, GH, HElement(MODEL, 0.0, BASIS[slot - 1]))
+        assert moved.r == pytest.approx(0.0, abs=1e-15)
         lam = float(pi[col][col])
         for t in (1.0, 1.7):
             assert np.allclose(
                 moved.u.value(t), lam * BASIS[slot - 1].value(t), atol=1e-9 * lam
             )
-
-
-def test_pi_map_rejects_u_hat_on_nonhomogeneous_profile():
-    profile = DeformedF(
-        perturbation=PerturbationF0.zero(),
-        c=2.5,
-        a_solved=2.5,
-        target_trace=6.909830056250526,
-        p=3,
-    )
-    deformed = build_model(standard_family(3), p=3, f=profile)
-    bad = GammaHat(deformed, 0.0, None, (Fraction(1),) * 6)
-    with pytest.raises(ValueError):
-        pi_map(deformed, bad, build_lagrangian(deformed, BASIS))
+    assert pi_apply_numeric(MODEL, GH, HElement(MODEL, 1.0, None)).r == pytest.approx(1.0 / Q)
 
 
 # ---------------------------------------------------------------------------
@@ -173,21 +151,6 @@ def test_lattice_intertwining_survives_families_and_fields():
             sigma = build_lattice(model, pi_map(model, make_gamma_hat(model), lag))
             assert sigma.size == model.m + 1
             assert abs(round(np.linalg.det(np.array(sigma.xi, dtype=float)))) == 1
-
-
-def test_lattice_with_u_hat_is_still_exact():
-    gh = make_gamma_hat(MODEL, r_hat=0.25, u_hat_coeffs=(0, 0, 0, 0, 0, 1), basis=BASIS)
-    sigma = build_lattice(MODEL, pi_map(MODEL, gh, L))
-    sections = {s["name"]: s for s in certify_ace(MODEL, L, sigma)}
-    assert sections["C-lattice-preserved"]["pass"]
-    assert sections["C-lattice-preserved"]["residual"] == "0"
-    # u-hat couples slot 1, so V_Pi has a two-entry column and Phi^-1 takes
-    # the coupled branch of the closed form
-    assert not sigma.pi_matrix[0][1].is_zero
-    identity = [[CTX.one if i == j else CTX.zero for j in range(4)] for i in range(4)]
-    phi, phi_inv = sigma.basis_matrix, sigma.basis_matrix_inverse
-    assert dense_field_matmul(phi, phi_inv, CTX) == identity
-    assert dense_field_matmul(phi_inv, phi, CTX) == identity
 
 
 def dense_field_matmul(left, right, ctx):
@@ -295,11 +258,35 @@ def test_intertwining_check_reports_pi_below_the_diagonal():
     pi = [list(row) for row in SIGMA.pi_matrix]
     pi[2][1] = CTX.one
     failures = intertwining_failures(replace(SIGMA, pi_matrix=tuple(map(tuple, pi))))
-    message = "Pi entry (2, 1) is nonzero outside the diagonal and first row"
+    message = "Pi entry (2, 1) is nonzero off the diagonal"
     assert message in failures
     # build_lattice runs the same check before it returns
     with pytest.raises(ValueError, match=r"Pi entry \(2, 1\)"):
         build_lattice(MODEL, pi)
+
+
+def test_intertwining_check_reports_pi_in_the_first_row():
+    # the first row gets no exemption: Pi is diagonal, so a nonzero
+    # Pi[0][1] is a defect, not a coupling
+    pi = [list(row) for row in SIGMA.pi_matrix]
+    pi[0][1] = CTX.element(-10) * CTX.q_power(3)
+    failures = intertwining_failures(replace(SIGMA, pi_matrix=tuple(map(tuple, pi))))
+    assert "Pi entry (0, 1) is nonzero off the diagonal" in failures
+    with pytest.raises(ValueError, match=r"Pi entry \(0, 1\)"):
+        build_lattice(MODEL, pi)
+
+
+def test_pi_is_diagonal_and_phi_vandermonde_in_slot_order_on_all_models():
+    for r, p in ALL_MODELS:
+        sigma, lagrangian = lattice_for(r, p)
+        ctx = sigma.model.context()
+        exponents = [-1] + [sigma.model.system.E_of(i) for i in lagrangian.index_set]
+        pi = pi_map(sigma.model, make_gamma_hat(sigma.model), lagrangian)
+        assert pi == sigma.pi_matrix
+        for i, y in enumerate(exponents):
+            for j in range(sigma.size):
+                assert pi[i][j] == (ctx.q_power(y) if i == j else ctx.zero), (r, p, i, j)
+                assert sigma.basis_matrix[i][j] == ctx.q_power(y * j), (r, p, i, j)
 
 
 @settings(max_examples=40, deadline=None)
@@ -371,10 +358,9 @@ def test_lattice_element_first_basis_vector():
 
 
 def test_gamma_hat_closed_form_action():
-    gh = make_gamma_hat(MODEL, r_hat=0.3)
-    t, s, v = act(gh, (1.0, 0.25, np.array([1.0, 2.0, 3.0])))
+    t, s, v = act(GH, (1.0, 0.25, np.array([1.0, 2.0, 3.0])))
     assert t == pytest.approx(Q)
-    assert s == pytest.approx(0.3 + 0.25 / Q)
+    assert s == pytest.approx(0.25 / Q)
     assert np.allclose(v, [Q * 1.0, 2.0, 3.0 / Q], atol=1e-14)
 
 
@@ -391,11 +377,8 @@ def test_h_element_frozen_action():
 
 def test_actions_round_trip():
     rng = np.random.default_rng(11)
-    gh_full = make_gamma_hat(
-        MODEL, r_hat=0.125, u_hat_coeffs=(1, 0, 0, Fraction(1, 2), 0, -1), basis=BASIS
-    )
     h = HElement(MODEL, 0.4, BASIS[2])
-    for element in (GH, gh_full, h):
+    for element in (GH, h):
         for _ in range(5):
             # keep t moderate: the pairing terms grow like t**6, and with
             # them the cancellation noise floor of the round trip
@@ -424,11 +407,8 @@ def test_act_jacobian_plain_gamma_hat_is_the_constant_diagonal():
 
 def test_act_jacobian_matches_differences_while_they_converge():
     rng = np.random.default_rng(23)
-    gh_full = make_gamma_hat(
-        MODEL, r_hat=0.125, u_hat_coeffs=(1, 0, 0, Fraction(1, 2), 0, -1), basis=BASIS
-    )
     h = HElement(MODEL, 0.4, BASIS[2])
-    for element in (GH, gh_full, h):
+    for element in (GH, h):
         point = (float(rng.uniform(0.6, 1.8)), float(rng.uniform(-1, 1)),
                  rng.uniform(-1.0, 1.0, MODEL.m))
         x = np.concatenate([[point[0], point[1]], point[2]])
@@ -445,8 +425,7 @@ def test_act_jacobian_matches_differences_while_they_converge():
                 np.concatenate([[pa[0], pa[1]], pa[2]])
                 - np.concatenate([[ma[0], ma[1]], ma[2]])
             ) / (2 * h_c)
-        # the reference itself carries eps * |s-image| / step noise, about
-        # 5e-5 for the u-hat case whose s-image sits near 1e5
+        # the reference itself carries eps * |s-image| / step noise
         assert np.allclose(exact, fd, rtol=1e-4, atol=1e-4)
 
 
