@@ -5,8 +5,8 @@ the norm-one unit q = (p + sqrt(p**2 - 4))/2 for an integer p >= 3: q > 1,
 q + 1/q = p, and the Galois conjugate of q is its inverse.  Spectra of the
 holonomy action are integer powers of q, so their characteristic polynomials
 have integer coefficients that can be compared literally.  Everything here is
-rational arithmetic on pairs (a, b) representing a + b*sqrt(d); no floating
-point enters any check.
+integer arithmetic on triples (a, b, den) representing (a + b*sqrt(d))/den in
+lowest terms; no floating point enters any check.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
@@ -36,12 +35,19 @@ def _is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-@dataclass(frozen=True, eq=False)
 class QFieldElement:
-    """A number a + b*sqrt(d) with rational a, b and a positive non-square d.
+    """A number (a + b*sqrt(d))/den with integers a, b, den and a positive
+    non-square d.
+
+    The three integers are stored in lowest terms: den > 0 and
+    gcd(a, b, den) = 1, so every element has exactly one representation
+    (zero is (0, 0, 1)).  They are readable as `int_a`, `int_b` and `den`;
+    the rational coordinates a/den and b/den are the `Fraction` properties
+    `a` and `b`.  Instances are immutable: assigning an attribute raises
+    AttributeError.
 
     d being a non-square is what makes the exact sign test well defined:
-    a**2 == b**2 * d is impossible for nonzero rational a, b, so comparing
+    a**2 == b**2 * d is impossible for nonzero integers a, b, so comparing
     the two squares always decides which of |a| and |b|*sqrt(d) is larger.
 
     d is checked once, when an element is built by this public constructor
@@ -52,23 +58,43 @@ class QFieldElement:
     different d never mix: `_coerce` refuses every such operand pair.
     """
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = ("int_a", "int_b", "den", "d")
 
-    def __post_init__(self) -> None:
-        if self.d <= 1 or _is_square(self.d):
-            raise ValueError(f"d must be a positive non-square, got {self.d}")
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __new__(cls, a: Rational, b: Rational, d: int) -> "QFieldElement":
+        if d <= 1 or _is_square(d):
+            raise ValueError(f"d must be a positive non-square, got {d}")
+        fa, fb = Fraction(a), Fraction(b)
+        # already in lowest terms: a prime dividing den divides the reduced
+        # denominator of fa or fb, and so not that one's numerator
+        den = math.lcm(fa.denominator, fb.denominator)
+        return _new(
+            fa.numerator * (den // fa.denominator),
+            fb.numerator * (den // fb.denominator),
+            den,
+            d,
+        )
 
     @classmethod
-    def _unchecked(cls, a: Fraction, b: Fraction, d: int) -> "QFieldElement":
-        """Build a + b*sqrt(d) from Fractions and a d already validated by
-        the public constructor; the result of every ring operation."""
-        element = object.__new__(cls)
-        element.__dict__.update(a=a, b=b, d=d)
-        return element
+    def _unchecked(cls, a: int, b: int, den: int, d: int) -> "QFieldElement":
+        """Build (a + b*sqrt(d))/den in lowest terms from integers with
+        den > 0 and a d already validated by the public constructor."""
+        return _reduced(a, b, den, d)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"QFieldElement is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"QFieldElement is immutable; cannot delete {name!r}")
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part a/den."""
+        return Fraction(self.int_a, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient b/den of sqrt(d)."""
+        return Fraction(self.int_b, self.den)
 
     # -- ring structure ----------------------------------------------------
 
@@ -77,26 +103,38 @@ class QFieldElement:
             if value.d != self.d:
                 raise ValueError("elements live in different quadratic fields")
             return value
-        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-            return QFieldElement._unchecked(Fraction(value), Fraction(0), self.d)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return _new(value, 0, 1, self.d)
+        if isinstance(value, Fraction):
+            return _new(value.numerator, 0, value.denominator, self.d)
         return None
 
     def __add__(self, other: object) -> "QFieldElement":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QFieldElement._unchecked(self.a + o.a, self.b + o.b, self.d)
+        n, m = self.den, o.den
+        if n == m:
+            return _reduced(self.int_a + o.int_a, self.int_b + o.int_b, n, self.d)
+        return _reduced(
+            self.int_a * m + o.int_a * n, self.int_b * m + o.int_b * n, n * m, self.d
+        )
 
     __radd__ = __add__
 
     def __neg__(self) -> "QFieldElement":
-        return QFieldElement._unchecked(-self.a, -self.b, self.d)
+        return _new(-self.int_a, -self.int_b, self.den, self.d)
 
     def __sub__(self, other: object) -> "QFieldElement":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QFieldElement._unchecked(self.a - o.a, self.b - o.b, self.d)
+        n, m = self.den, o.den
+        if n == m:
+            return _reduced(self.int_a - o.int_a, self.int_b - o.int_b, n, self.d)
+        return _reduced(
+            self.int_a * m - o.int_a * n, self.int_b * m - o.int_b * n, n * m, self.d
+        )
 
     def __rsub__(self, other: object) -> "QFieldElement":
         o = self._coerce(other)
@@ -108,19 +146,20 @@ class QFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QFieldElement._unchecked(
-            self.a * o.a + self.b * o.b * self.d,
-            self.a * o.b + self.b * o.a,
-            self.d,
-        )
+        a, b, c, e = self.int_a, self.int_b, o.int_a, o.int_b
+        return _reduced(a * c + b * e * self.d, a * e + b * c, self.den * o.den, self.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QFieldElement":
-        n = self.norm
+        # den / (a + b sqrt d) = den (a - b sqrt d) / (a**2 - d b**2)
+        a, b, den = self.int_a, self.int_b, self.den
+        n = a * a - self.d * b * b
         if n == 0:
             raise ZeroDivisionError("division by zero field element")
-        return QFieldElement._unchecked(self.a / n, -self.b / n, self.d)
+        if n < 0:
+            den, n = -den, -n
+        return _reduced(den * a, -den * b, n, self.d)
 
     def __truediv__(self, other: object) -> "QFieldElement":
         o = self._coerce(other)
@@ -138,7 +177,7 @@ class QFieldElement:
         if not isinstance(exponent, int):
             return NotImplemented
         base = self if exponent >= 0 else self.inverse()
-        result = QFieldElement._unchecked(Fraction(1), Fraction(0), self.d)
+        result = _new(1, 0, 1, self.d)
         e = abs(exponent)
         while e:
             if e & 1:
@@ -150,28 +189,29 @@ class QFieldElement:
 
     # -- field invariants ----------------------------------------------------
 
-    @cached_property
+    @property
     def conj(self) -> "QFieldElement":
         """Galois conjugate a - b*sqrt(d)."""
-        return QFieldElement._unchecked(self.a, -self.b, self.d)
+        return _new(self.int_a, -self.int_b, self.den, self.d)
 
-    @cached_property
+    @property
     def norm(self) -> Fraction:
         """Field norm a**2 - d*b**2 (multiplicative; zero only at zero)."""
-        return self.a * self.a - self.d * self.b * self.b
+        a, b = self.int_a, self.int_b
+        return Fraction(a * a - self.d * b * b, self.den * self.den)
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.int_a == 0 and self.int_b == 0
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d), decided without square roots.
 
         With mixed signs of a and b the question reduces to |a| vs
         |b|*sqrt(d), i.e. to comparing a**2 with b**2*d; ties are impossible
-        because d is a non-square.
+        because d is a non-square.  The positive den does not change signs.
         """
-        a, b = self.a, self.b
+        a, b = self.int_a, self.int_b
         if b == 0:
             return (a > 0) - (a < 0)
         if a == 0:
@@ -187,14 +227,26 @@ class QFieldElement:
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        # both sides are in lowest terms, so equal values have equal integers
         if isinstance(other, QFieldElement):
-            return self.d == other.d and self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self.b == 0 and self.a == other
+            return (
+                self.d == other.d
+                and self.int_a == other.int_a
+                and self.int_b == other.int_b
+                and self.den == other.den
+            )
+        if isinstance(other, int) and not isinstance(other, bool):
+            return self.int_b == 0 and self.den == 1 and self.int_a == other
+        if isinstance(other, Fraction):
+            return (
+                self.int_b == 0
+                and self.int_a == other.numerator
+                and self.den == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.b == 0:
+        if self.int_b == 0:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
@@ -229,22 +281,26 @@ class QFieldElement:
         # signs and similar magnitude (e.g. large negative powers of a unit).
         # In that regime divide the exact norm by the conjugate instead: the
         # conjugate combination adds terms of one sign, so it is accurate.
-        fa, fb = float(self.a), float(self.b)
+        # int / int rounds correctly, so fa, fb and the norm are the nearest
+        # floats to the exact rationals.
+        a, b, den = self.int_a, self.int_b, self.den
+        fa, fb = a / den, b / den
         root = math.sqrt(self.d)
-        if fa == 0.0 or fb == 0.0 or (self.a > 0) == (self.b > 0):
+        if fa == 0.0 or fb == 0.0 or (a > 0) == (b > 0):
             return fa + fb * root
-        return float(self.norm) / (fa - fb * root)
+        return ((a * a - self.d * b * b) / (den * den)) / (fa - fb * root)
 
     def __repr__(self) -> str:
         return f"QFieldElement({self.a}, {self.b}, d={self.d})"
 
     def to_json_dict(self) -> dict[str, str]:
         """Encode as the four decimal strings used inside certificates."""
+        a, b = self.a, self.b
         return {
-            "a_num": str(self.a.numerator),
-            "a_den": str(self.a.denominator),
-            "b_num": str(self.b.numerator),
-            "b_den": str(self.b.denominator),
+            "a_num": str(a.numerator),
+            "a_den": str(a.denominator),
+            "b_num": str(b.numerator),
+            "b_den": str(b.denominator),
         }
 
     @classmethod
@@ -254,6 +310,31 @@ class QFieldElement:
             Fraction(int(data["b_num"]), int(data["b_den"])),
             d,
         )
+
+
+# The slots' own setters bypass the __setattr__ that keeps elements immutable.
+_set_a, _set_b, _set_den, _set_d = (
+    QFieldElement.__dict__[name].__set__ for name in QFieldElement.__slots__
+)
+
+
+def _new(a: int, b: int, den: int, d: int) -> QFieldElement:
+    """An element from integers already in lowest terms with den > 0."""
+    element = object.__new__(QFieldElement)
+    _set_a(element, a)
+    _set_b(element, b)
+    _set_den(element, den)
+    _set_d(element, d)
+    return element
+
+
+def _reduced(a: int, b: int, den: int, d: int) -> QFieldElement:
+    """An element from integers with den > 0, brought to lowest terms."""
+    if den != 1:
+        g = math.gcd(a, b, den)
+        if g != 1:
+            a, b, den = a // g, b // g, den // g
+    return _new(a, b, den, d)
 
 
 class QFieldContext:
@@ -304,12 +385,6 @@ class QFieldContext:
                 powers[k] = value
             self._lo = exponent
         return value
-
-    def trace_of_power(self, exponent: int) -> int:
-        """q**a + q**(-a), always a rational integer."""
-        value = self.q_power(exponent) + self.q_power(-exponent)
-        assert value.b == 0 and value.a.denominator == 1
-        return int(value.a)
 
     def __repr__(self) -> str:
         return f"QFieldContext(p={self.p})"

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -374,11 +373,12 @@ class LatticeSigma:
         common denominator for the whole row."""
         rows = []
         for row in self.basis_matrix:
-            den = math.lcm(*(part.denominator for e in row for part in (e.a, e.b)))
+            den = math.lcm(*(e.den for e in row))
+            scales = [den // e.den for e in row]
             rows.append(
                 (
-                    tuple(int(e.a * den) for e in row),
-                    tuple(int(e.b * den) for e in row),
+                    tuple(e.int_a * s for e, s in zip(row, scales)),
+                    tuple(e.int_b * s for e, s in zip(row, scales)),
                     den,
                 )
             )
@@ -487,8 +487,9 @@ def _lattice_column(sigma: LatticeSigma, coords: Sequence[int]) -> list[QFieldEl
     d = sigma.model.context().d
     return [
         QFieldElement._unchecked(
-            Fraction(sum(a * c for a, c in zip(a_nums, coords)), den),
-            Fraction(sum(b * c for b, c in zip(b_nums, coords)), den),
+            sum(a * c for a, c in zip(a_nums, coords)),
+            sum(b * c for b, c in zip(b_nums, coords)),
+            den,
             d,
         )
         for a_nums, b_nums, den in sigma._integer_rows

@@ -251,7 +251,11 @@ def _orbit_data(m: int, k: int):
     return orbits
 
 
-def _systems_for_gap(m: int, k: int, window: int) -> Iterator[ZSpectralSystem]:
+def _candidates(m: int, k: int, window: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Every (E, J) that the orbit parametrisation allows: one x per free
+    orbit in |x| <= window, and one of the two J alternations per orbit.
+    All of them meet axioms (a)-(c).  The yielded lists are not mutated
+    afterwards; the J choices of one x share the same E list."""
     orbits = _orbit_data(m, k)
     if orbits is None:
         return
@@ -272,9 +276,20 @@ def _systems_for_gap(m: int, k: int, window: int) -> Iterator[ZSpectralSystem]:
             for (labels, parity, forced_x), flip in zip(orbits, bits_flips):
                 for slot in labels:
                     bits[slot - 1] = parity[slot] ^ flip
-            system = ZSpectralSystem(m=m, k=k, E=tuple(exponents), J=tuple(bits))
-            if not system.axiom_failures():
-                yield system
+            yield exponents, bits
+
+
+def _systems_for_gap(m: int, k: int, window: int) -> Iterator[ZSpectralSystem]:
+    """The valid systems among `_candidates`.  Only axiom (d) can fail, so
+    only (d) is tested per candidate; a candidate that passes is built and
+    checked against all four axioms."""
+    for exponents, bits in _candidates(m, k, window):
+        spectrum = {-1, *(e for e, bit in zip(exponents, bits) if bit)}
+        if len(spectrum) != m + 1 or any(-y not in spectrum for y in spectrum):
+            continue
+        system = ZSpectralSystem(m=m, k=k, E=tuple(exponents), J=tuple(bits))
+        if not system.axiom_failures():
+            yield system
 
 
 def search_systems(
@@ -289,7 +304,10 @@ def search_systems(
     exponent to be the negative of -1 or of another selected value, and all
     anchored values are bounded by (k + 3)/2, so a free parameter outside
     the window cannot produce a symmetric spectrum.  J alternates across
-    both pairings, leaving two bit choices per orbit.  Results are sorted by
+    both pairings, leaving two bit choices per orbit.  Since the
+    parametrisation meets (a)-(c) by construction, each candidate is tested
+    only against axiom (d); a candidate that passes is built and checked
+    against all four axioms before it is returned.  Results are sorted by
     (k, E, J); an empty list is a genuine nonexistence certificate for the
     range scanned.
     """

@@ -116,7 +116,7 @@ def test_gate02_model_and_lattice_identities_zero_residual():
             for w in lagrangian.basis:
                 assert omega_exact(model, u, w) == {}, (r, p)
         assert intertwining_failures(sigma) == (), (r, p)
-    assert time.perf_counter() - start < 30.0  # measured 2 s
+    assert time.perf_counter() - start < 30.0  # measured 0.3 s
 
 
 def test_gate03_bridging_multiset_identity_all_generated_systems():

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import math
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecsforge.exact import (
@@ -84,9 +84,12 @@ def test_q_power_caching_consistency():
 def test_trace_of_power_matches_recurrence():
     for p, expected in FROZEN_TRACES.items():
         ctx = QFieldContext(p)
-        for a, s in enumerate(expected):
-            assert ctx.trace_of_power(a) == s
-            assert ctx.trace_of_power(-a) == s
+        traces = trace_sequence(p, len(expected) + 4)
+        for a, s in enumerate(traces):
+            if a < len(expected):
+                assert s == expected[a]
+            value = ctx.q_power(a) + ctx.q_power(-a)
+            assert value == s and value.b == 0 and value.a.denominator == 1
 
 
 def test_golden_ratio_square():
@@ -172,6 +175,145 @@ def test_sign_matches_float(a, b):
     approx = float(a) + float(b) * math.sqrt(12)
     if abs(approx) > 1e-9:
         assert x.sign() == (1 if approx > 0 else -1)
+
+
+# ---------------------------------------------------------------------------
+# the integer representation against a Fraction-pair reference
+#
+# The reference keeps a + b*sqrt(d) as two Fractions, the textbook form, and
+# computes floats the way a Fraction pair would: rationals rounded once each,
+# and the conjugate route where a and b have opposite signs.
+
+
+def _ref_mul(x, y, d):
+    (a, b), (c, e) = x, y
+    return (a * c + b * e * d, a * e + b * c)
+
+
+def _ref_norm(x, d):
+    a, b = x
+    return a * a - d * b * b
+
+
+def _ref_inverse(x, d):
+    a, b = x
+    n = _ref_norm(x, d)
+    return (a / n, -b / n)
+
+
+def _ref_power(x, e, d):
+    base = x if e >= 0 else _ref_inverse(x, d)
+    result = (Fraction(1), Fraction(0))
+    for _ in range(abs(e)):
+        result = _ref_mul(result, base, d)
+    return result
+
+
+def _ref_sign(x, d):
+    # the larger of |a| and |b|*sqrt(d) decides the sign
+    a, b = x
+    if a == 0 and b == 0:
+        return 0
+    if a * a > d * b * b:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1
+
+
+def _ref_float(x, d):
+    a, b = x
+    fa, fb, root = float(a), float(b), math.sqrt(d)
+    if fa == 0.0 or fb == 0.0 or (a > 0) == (b > 0):
+        return fa + fb * root
+    return float(_ref_norm(x, d)) / (fa - fb * root)
+
+
+def _assert_matches(element, ref, d):
+    a, b = ref
+    assert element.d == d
+    assert (element.a, element.b) == (a, b)
+    assert element.den > 0
+    assert math.gcd(element.int_a, element.int_b, element.den) == 1
+    if a == 0 and b == 0:
+        assert (element.int_a, element.int_b, element.den) == (0, 0, 1)
+
+
+pair = st.tuples(coeff, coeff)
+
+
+@given(
+    d=st.sampled_from((5, 12, 21)),
+    x=pair,
+    y=pair,
+    k=st.integers(min_value=-60, max_value=60),
+    e=st.integers(min_value=-5, max_value=5),
+)
+@example(d=5, x=(Fraction(1), Fraction(0)), y=(Fraction(0), Fraction(1)), k=-45, e=-3)
+@example(d=21, x=(Fraction(0), Fraction(0)), y=(Fraction(2), Fraction(-1, 3)), k=-60, e=2)
+@settings(max_examples=200, deadline=None)
+def test_integer_element_matches_fraction_pair_reference(d, x, y, k, e):
+    p = math.isqrt(d + 4)
+    ctx = QFieldContext(p)
+    q_k = _ref_power((Fraction(p, 2), Fraction(1, 2)), k, d)
+    ref_x = _ref_mul(x, q_k, d)
+    big = ctx.element(*x) * ctx.q_power(k)
+    small = ctx.element(*y)
+    _assert_matches(ctx.q_power(k), q_k, d)
+    _assert_matches(big, ref_x, d)
+    _assert_matches(small, y, d)
+
+    ref_sum = (ref_x[0] + y[0], ref_x[1] + y[1])
+    _assert_matches(big + small, ref_sum, d)
+    _assert_matches(big - small, (ref_x[0] - y[0], ref_x[1] - y[1]), d)
+    _assert_matches(3 - big, (3 - ref_x[0], -ref_x[1]), d)
+    _assert_matches(big + Fraction(1, 3), (ref_x[0] + Fraction(1, 3), ref_x[1]), d)
+    _assert_matches(-big, (-ref_x[0], -ref_x[1]), d)
+    _assert_matches(big * small, _ref_mul(ref_x, y, d), d)
+    _assert_matches(big.conj, (ref_x[0], -ref_x[1]), d)
+    assert big.norm == _ref_norm(ref_x, d)
+    for value, ref in ((big, ref_x), (small, y), (ctx.q_power(k), q_k)):
+        assert value.sign() == _ref_sign(ref, d)
+        assert float(value) == _ref_float(ref, d)
+    if any(y):
+        _assert_matches(small.inverse(), _ref_inverse(y, d), d)
+        _assert_matches(big / small, _ref_mul(ref_x, _ref_inverse(y, d), d), d)
+        _assert_matches(Fraction(2, 7) / small, _ref_mul((Fraction(2, 7), 0), _ref_inverse(y, d), d), d)
+        _assert_matches(small**e, _ref_power(y, e, d), d)
+    if any(x):
+        _assert_matches(big**e, _ref_power(ref_x, e, d), d)
+    else:
+        _assert_matches(big**abs(e), (Fraction(int(e == 0)), Fraction(0)), d)
+
+
+def test_negative_powers_take_the_conjugate_route():
+    # q**-k = (a + b sqrt d) with a ~ -b sqrt d: the direct sum cancels, the
+    # conjugate route keeps full precision
+    for p in (3, 4, 5):
+        ctx = QFieldContext(p)
+        q = (p + math.sqrt(p * p - 4)) / 2
+        for k in range(20, 60, 7):
+            value = ctx.q_power(-k)
+            assert float(value) == _ref_float((value.a, value.b), ctx.d)
+            assert abs(float(value) - q**-k) <= 1e-14 * q**-k
+
+
+def test_integer_element_hash_repr_and_immutability():
+    ctx = QFieldContext(3)
+    assert hash(ctx.element(3)) == hash(3)
+    assert hash(ctx.element(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert ctx.element(Fraction(1, 2)) == Fraction(1, 2)
+    assert ctx.element(3) == 3
+    assert len({ctx.element(3), 3, ctx.q - ctx.q + 3}) == 1
+    # the form golden certificates hold
+    assert repr(ctx.q_inv) == "QFieldElement(3/2, -1/2, d=5)"
+    assert repr(ctx.q_power(2)) == "QFieldElement(7/2, 3/2, d=5)"
+    assert ctx.zero.int_a == 0 and ctx.zero.den == 1
+    assert not hasattr(ctx.q, "__dict__")
+    for name in ("int_a", "int_b", "den", "d", "a", "b", "conj", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(ctx.q, name, 1)
+    with pytest.raises(AttributeError):
+        del ctx.q.den
+    assert ctx.q == QFieldElement(Fraction(3, 2), Fraction(1, 2), 5)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecsforge.spectral import ZSpectralSystem, search_systems, standard_family
+from ecsforge.spectral import (
+    ZSpectralSystem,
+    _candidates,
+    _systems_for_gap,
+    search_systems,
+    standard_family,
+)
 
 FROZEN_FAMILY = {
     3: {
@@ -189,6 +195,37 @@ def test_search_guards():
     with pytest.raises(ValueError):
         search_systems(0, 5)
     assert search_systems(3, 0) == []
+
+
+def test_search_filter_matches_full_axiom_scan():
+    # the loop tests only axiom (d); a scan that runs the full check on
+    # every candidate of the same parametrisation must keep the same systems
+    for m in range(1, 5):
+        for k in range(1, 10, 2):
+            window = 2 * k + 4
+            systems = [
+                ZSpectralSystem(m=m, k=k, E=tuple(E), J=tuple(J))
+                for E, J in _candidates(m, k, window)
+            ]
+            # the parametrisation itself meets (a)-(c): only (d) can fail
+            for system in systems:
+                assert all(f.startswith("(d)") for f in system.axiom_failures()), system
+            reference = [s for s in systems if not s.axiom_failures()]
+            assert list(_systems_for_gap(m, k, window)) == reference
+    assert list(_systems_for_gap(3, 5, 14)) == [standard_family(3)]
+
+
+def test_full_check_rejects_candidate_that_passes_d():
+    # changing an unselected exponent leaves Y, and so axiom (d), intact
+    # but breaks the mirrored sum (b) and the adjacent difference (c)
+    good = standard_family(3)
+    E = list(good.E)
+    E[1] -= 1  # slot 2 has J = 0
+    bad = ZSpectralSystem(m=good.m, k=good.k, E=tuple(E), J=good.J)
+    assert bad.exponent_spectrum == good.exponent_spectrum
+    failures = bad.axiom_failures()
+    assert any(f.startswith("(b)") for f in failures)
+    assert not any(f.startswith("(d)") for f in failures)
 
 
 @given(r=st.integers(min_value=3, max_value=20))
