@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -58,13 +59,15 @@ from .quotient import (
     build_lagrangian,
     build_lattice,
     canonicalize,
+    canonicalize_cell,
     certify_ace,
-    fundamental_coordinates,
     holonomy_scaling,
     lattice_element,
     make_gamma_hat,
     normal_form,
     pi_map,
+    point_from_coordinates,
+    xi_power,
 )
 from .spectral import search_systems, standard_family
 
@@ -84,6 +87,12 @@ DEFAULT_TOLERANCES = {
     "geodesic_deviation": 1e-6,
     "geodesic_parameter": 1e-3,
 }
+
+
+# canonicalize-orbit draws tau in [-1, 2) and w in [-2, 2)**(m+1) over this
+# denominator; its float cross-check needs this gap to every cell face
+CELL_DENOMINATOR = 4096
+FACE_GAP = Fraction(1, 1000)
 
 
 def canonical_json(data) -> str:
@@ -167,17 +176,17 @@ def _crashed_section(name: str, exc: Exception) -> dict:
     }
 
 
-def _random_point(rng, m: int):
+def _random_point(rng, m: int, t_range=(0.5, 2.2)):
     return (
-        float(rng.uniform(0.5, 2.2)),
+        float(rng.uniform(*t_range)),
         float(rng.uniform(-1.0, 1.0)),
         rng.uniform(-1.0, 1.0, m),
     )
 
 
 def _draw_coords(rng, support: np.ndarray) -> tuple[int, ...]:
-    """Lattice coordinates in -2..2 on the supported columns, 0 elsewhere,
-    redrawn until one is nonzero."""
+    """Lattice coordinates in -2..2 on the supported columns (all of them
+    for the exact cell route), 0 elsewhere, redrawn until one is nonzero."""
     coords = np.zeros(support.shape, dtype=int)
     while not coords.any():
         coords[support] = rng.integers(-2, 3, size=int(support.sum()))
@@ -357,19 +366,14 @@ def _dynamic_sections(model, homogeneous, samples, rng, tol) -> list[dict]:
     # contract with the closed-form Jacobian (differencing act() would lose
     # eps * |s-image| / step, far above tol for any workable step).
     coeff_cap = 3e4
-    colscale = np.max(np.abs(sigma.phi_float()), axis=0)
-    support = colscale <= coeff_cap
+    support = sigma.log_phi().max(axis=0) <= math.log(coeff_cap)
     elements = [
         lattice_element(sigma, _draw_coords(rng, support), lagrangian)
         for _ in range(samples)
     ]
     for element in elements:
         for _ in range(samples):
-            point = (
-                rng.uniform(0.4, 1.2),
-                rng.uniform(-1.0, 1.0),
-                rng.uniform(-1.0, 1.0, size=model.m),
-            )
+            point = _random_point(rng, model.m, (0.4, 1.2))
             worst_iso = max(
                 worst_iso,
                 isometry_residual(
@@ -432,102 +436,68 @@ def _dynamic_sections(model, homogeneous, samples, rng, tol) -> list[dict]:
         }
     )
 
-    # Orbit invariance of the canonical form, checked two ways.  The exact
-    # route compares the integer reduction words: canonicalize(P) and
-    # canonicalize(g P) land on the same representative precisely when
-    # Phi(shift_a) hat**ra  =  Phi(shift_b) hat**rb g as group elements, an
-    # identity normal_form settles in integer arithmetic at any dimension.
-    # The float route additionally rebuilds the representatives and compares
-    # them coordinate by coordinate, which only means something while the
-    # cell stays representable: the lattice basis spans colscale orders of
-    # magnitude, so the rebuild round trip loses about |Phi| |Phi^-1| eps.
+    # Orbit invariance in exact cell coordinates: a point and its image
+    # under g = Phi(c) hat**e reduce to one representative, and the words
+    # Phi(shift_a) hat**ra and Phi(shift_b) hat**rb g name one element.
+    # Float canonicalize must find both words from the chart images where
+    # the cell is representable, the basis evaluates exactly and the faces
+    # are clear; the images reach 1e10, so the representative's value is
+    # checked at its own image.
     def _hats(count: int) -> list:
         return [HAT] * count if count >= 0 else [HAT_INV] * (-count)
 
-    q_float = float(ctx.q)
-    log_q = math.log(q_float)
-    cell_condition = float(
-        np.linalg.norm(sigma.phi_float())
-        * np.linalg.norm(sigma.phi_inv_float())
-        * np.finfo(float).eps
-    )
-    # rebuilding also needs exactly evaluable basis functions: an integrated
-    # profile caps the round trip at integrator accuracy, far above the gate
-    rebuild_float = cell_condition * 100.0 < tol["canonicalize"] and homogeneous
-    worst_canon = 0.0
-    word_failures = []
-    pairs_done = 0
-    attempts = 0
-    while pairs_done < samples and attempts < 60 * samples:
-        attempts += 1
-        point = (
-            float(rng.uniform(1.05, 0.95 * q_float)),
-            float(rng.uniform(-1.0, 1.0)),
-            rng.uniform(-1.0, 1.0, model.m),
-        )
+    def _chart(tau, w) -> tuple:
+        t = float(ctx.q) ** float(tau)
+        return point_from_coordinates(t, np.array(w, dtype=float), sigma, lagrangian)
+
+    log10_condition = sigma.log10_cell_condition()
+    rebuild_float = homogeneous and log10_condition + 2.0 < math.log10(tol["canonicalize"])
+    worst_canon, float_pairs = 0.0, 0
+    word_failures, cell_failures = [], []
+    den = CELL_DENOMINATOR
+    for _ in range(samples):
+        tau = Fraction(int(rng.integers(-den, 2 * den)), den)
+        w = tuple(Fraction(int(x), den) for x in rng.integers(-2 * den, 2 * den, sigma.size))
         exponent = int(rng.integers(-1, 2))
-        coords = _draw_coords(rng, support)
-        element = lattice_element(sigma, coords, lagrangian)
-        if element.u is not None:
-            size = max(
-                float(np.max(np.abs(element.u.value(tt))) + np.max(np.abs(element.u.deriv(tt))))
-                for tt in (0.4, 1.0, q_float)
-            )
-            if size > 3e4:
-                continue
-        moved = act(element, act_power(gamma_hat, point, exponent))
-        # the cell choice flips on lattice-face and t-scale boundaries, so a
-        # sampled claim is only well posed away from them: redraw when either
-        # path sits within 1e-3 of a boundary
-        boundary = False
-        for probe in (point, moved):
-            shifts = -math.floor(math.log(probe[0]) / log_q)
-            normalized = act_power(gamma_hat, probe, shifts)
-            _, w = fundamental_coordinates(normalized, sigma, lagrangian)
-            frac = w - np.floor(w)
-            gap = float(np.min(np.minimum(frac, 1.0 - frac)))
-            t_frac = math.log(normalized[0]) / log_q
-            gap = min(gap, abs(t_frac), abs(1.0 - t_frac))
-            if gap < 1e-3:
-                boundary = True
-                break
-        if boundary:
-            continue
-        pairs_done += 1
-        rep_a, (ra, shift_a) = canonicalize(point, gamma_hat, sigma, lagrangian)
-        rep_b, (rb, shift_b) = canonicalize(moved, gamma_hat, sigma, lagrangian)
-        left = normal_form(sigma, [shift_a, *_hats(ra)])
-        right = normal_form(
-            sigma, [shift_b, *_hats(rb), coords, *_hats(exponent)]
-        )
+        coords = _draw_coords(rng, np.ones(sigma.size, dtype=bool))
+        moved_w = tuple(x + c for x, c in zip(xi_power(sigma, w, exponent), coords))
+        rep_a, word_a = canonicalize_cell(sigma, tau, w)
+        rep_b, word_b = canonicalize_cell(sigma, tau + exponent, moved_w)
+        if rep_a != rep_b:
+            cell_failures.append(f"representatives differ (hat power {exponent})")
+        left = normal_form(sigma, [word_a[1], *_hats(word_a[0])])
+        right = normal_form(sigma, [word_b[1], *_hats(word_b[0]), coords, *_hats(exponent)])
         if left != right:
-            word_failures.append(
-                f"words differ: {left} vs {right} (hat power {exponent})"
-            )
-        if rebuild_float:
-            rep_aa, _ = canonicalize(rep_a, gamma_hat, sigma, lagrangian)
-            for other in (rep_b, rep_aa):
-                worst_canon = max(
-                    worst_canon,
-                    abs(rep_a[0] - other[0]),
-                    abs(rep_a[1] - other[1]),
-                    float(np.max(np.abs(rep_a[2] - np.asarray(other[2])))),
-                )
+            word_failures.append(f"words differ: {left} vs {right} (hat power {exponent})")
+        if not rebuild_float or min(min(x, 1 - x) for x in (rep_a[0], *rep_a[1])) < FACE_GAP:
+            continue
+        float_pairs += 1
+        point = _chart(tau, w)
+        moved = act_power(gamma_hat, point, exponent)
+        moved = act(lattice_element(sigma, coords, lagrangian), moved)
+        expected = _chart(*rep_a)
+        for probe, word in ((point, word_a), (moved, word_b), (expected, (0, (0,) * sigma.size))):
+            rep, float_word = canonicalize(probe, gamma_hat, sigma, lagrangian)
+            if float_word != word:
+                cell_failures.append(f"float canonicalize found {float_word}, not {word}")
+        # rep is now the float canonical form of the exact representative
+        worst_canon = max(worst_canon, float(np.max(np.abs(np.hstack(rep) - np.hstack(expected)))))
     sections.append(
         _numeric_section(
             "canonicalize-orbit",
             worst_canon,
             tol["canonicalize"],
             {
-                "pairs": pairs_done,
-                "redraws": attempts - pairs_done,
+                "pairs": samples,
+                "redraws": 0,
+                "float_pairs": float_pairs,
                 "word_identity_failures": word_failures,
-                "representatives_compared": bool(rebuild_float),
-                "cell_condition": cell_condition,
+                "cell_failures": cell_failures,
+                "log10_cell_condition": log10_condition,
             },
         )
     )
-    if word_failures:
+    if word_failures or cell_failures:
         sections[-1]["pass"] = False
 
     factor = holonomy_scaling(gamma_hat)

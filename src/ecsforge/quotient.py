@@ -13,7 +13,8 @@ polynomial).  The exact intertwiner Phi with Pi Phi = Phi Xi is the
 Vandermonde matrix of Pi's eigenvalues, whose rows are left eigenrows of
 Xi; its integer span is the lattice Sigma preserved by Pi.  Everything in
 that chain is quadratic-field arithmetic — the only floats live in the
-point actions and the chart reduction.
+point actions and the chart.  In cell coordinates (log_q t, Phi^-1 of the
+chart) the group acts by integer maps, so canonicalization is exact too.
 """
 
 from __future__ import annotations
@@ -58,8 +59,11 @@ __all__ = [
     "lattice_element",
     "certify_ace",
     "normal_form",
+    "xi_power",
     "fundamental_coordinates",
+    "point_from_coordinates",
     "canonicalize",
+    "canonicalize_cell",
     "holonomy_scaling",
 ]
 
@@ -366,6 +370,22 @@ class LatticeSigma:
     def phi_inv_float(self) -> np.ndarray:
         return self._phi_inv_float
 
+    def log_phi(self) -> np.ndarray:
+        """log Phi_ij = y_i j log q, rows in the order of Y: read from the
+        exponents, since the float Phi overflows from n = 21 on."""
+        log_q = math.log(float(self.model.context().q))
+        return log_q * np.outer(self.y_exponents, range(self.size))
+
+    def log10_cell_condition(self) -> float:
+        """log10(|Phi|_F |Phi^-1|_F eps), the loss of a float round trip
+        through the cell: a log-sum-exp over log Phi_ij**2, and the float
+        Phi^-1, which exists at every n, scaled by its largest entry."""
+        inv = self.phi_inv_float()
+        top = float(np.max(np.abs(inv)))
+        log_norms = 0.5 * np.logaddexp.reduce(2.0 * self.log_phi(), axis=None) + math.log(top)
+        log_norms += math.log(float(np.linalg.norm(inv / top)))
+        return float(log_norms / math.log(10.0) + math.log10(np.finfo(float).eps))
+
     @cached_property
     def _integer_rows(self) -> tuple:
         """Each row of Phi as (a-numerators, b-numerators, denominator):
@@ -659,13 +679,10 @@ def normal_form(sigma: LatticeSigma, word: Sequence) -> tuple[int, tuple[int, ..
     coords = (0,) * sigma.size
     for token in word:
         if isinstance(token, str):
-            if token == HAT:
-                power, matrix = power + 1, sigma.xi_inverse
-            elif token == HAT_INV:
-                power, matrix = power - 1, sigma.xi
-            else:
+            if token not in (HAT, HAT_INV):
                 raise ValueError(f"unknown generator token {token!r}")
-            coords = tuple(sum(a * c for a, c in zip(row, coords)) for row in matrix)
+            step = 1 if token == HAT else -1
+            power, coords = power + step, xi_power(sigma, coords, -step)
         else:
             vec = tuple(int(c) for c in token)
             if len(vec) != sigma.size:
@@ -674,17 +691,17 @@ def normal_form(sigma: LatticeSigma, word: Sequence) -> tuple[int, tuple[int, ..
     return power, coords
 
 
-def _chart_coordinates(
-    model: ModelData, lagrangian: LagrangianL, point
-) -> tuple[float, float, np.ndarray]:
-    t, s, v = point
-    matrix = lagrangian.evaluation_matrix(t)
-    coeffs = np.linalg.solve(matrix, np.asarray(v, dtype=float))
-    u_dot = np.zeros(model.m)
-    for c, u in zip(coeffs, lagrangian.basis):
-        u_dot += c * u.deriv(t)
-    z = s + model.inner(u_dot, np.asarray(v, dtype=float))
-    return t, float(z), coeffs
+def xi_power(sigma: LatticeSigma, vector: Sequence, exponent: int) -> tuple:
+    """Xi**exponent applied to an integer or rational vector, exactly."""
+    matrix = sigma.xi if exponent > 0 else sigma.xi_inverse
+    for _ in range(abs(exponent)):
+        vector = [sum(a * x for a, x in zip(row, vector)) for row in matrix]
+    return tuple(vector)
+
+
+def _slope(lagrangian: LagrangianL, coeffs, t: float) -> np.ndarray:
+    """sum_j c_j u_j'(t), the t-derivative of the chart's L-part."""
+    return sum((c * u.deriv(t) for c, u in zip(coeffs, lagrangian.basis)), np.zeros(len(coeffs)))
 
 
 def fundamental_coordinates(
@@ -693,9 +710,20 @@ def fundamental_coordinates(
     """(t, w): the point's coordinates in the lattice basis, the natural
     O(1)-scaled parametrization of the fundamental cell.  For a canonical
     representative, t is in [1, q) and w in [0, 1)**(m+1)."""
-    t, z, coeffs = _chart_coordinates(sigma.model, lagrangian, point)
-    w = sigma.phi_inv_float() @ np.concatenate(([z], coeffs))
-    return t, w
+    t, s, v = point
+    v = np.asarray(v, dtype=float)
+    coeffs = np.linalg.solve(lagrangian.evaluation_matrix(t), v)
+    z = float(s + sigma.model.inner(_slope(lagrangian, coeffs, t), v))
+    return t, sigma.phi_inv_float() @ np.concatenate(([z], coeffs))
+
+
+def point_from_coordinates(t: float, w, sigma: LatticeSigma, lagrangian: LagrangianL) -> tuple:
+    """The point (t, s, v) with fundamental coordinates (t, w), through the
+    float Phi: the inverse of `fundamental_coordinates`."""
+    reduced = sigma.phi_float() @ w
+    z, coeffs = float(reduced[0]), reduced[1:]
+    v = lagrangian.evaluation_matrix(t) @ coeffs
+    return (t, float(z - sigma.model.inner(_slope(lagrangian, coeffs, t), v)), v)
 
 
 def canonicalize(
@@ -708,25 +736,27 @@ def canonicalize(
     coordinates in [0, 1)**(m+1).
 
     Returns (representative, (r, shift)): the gamma-hat power r applied
-    first, then the lattice element with integer coordinates `shift`.
-    Canonical by construction — idempotent up to float drift, constant on
-    orbits of the generated group.
+    first, then the lattice element with integer coordinates `shift`: the
+    float `canonicalize_cell`, exact to |Phi| |Phi^-1| eps off the faces.
     """
     t, s, v = point
     if t <= 0:
         raise ValueError("points live on t > 0")
-    model = gamma_hat.model
-    q = float(model.context().q)
+    q = float(gamma_hat.model.context().q)
     r = -math.floor(math.log(t) / math.log(q))
     current = act_power(gamma_hat, (t, s, np.asarray(v, dtype=float)), r)
 
     t1, w = fundamental_coordinates(current, sigma, lagrangian)
     shift = np.floor(w).astype(int)
-    reduced = sigma.phi_float() @ (w - shift)
-    z2, coeffs2 = float(reduced[0]), reduced[1:]
-    v2 = lagrangian.evaluation_matrix(t1) @ coeffs2
-    u_dot2 = np.zeros(model.m)
-    for c, u in zip(coeffs2, lagrangian.basis):
-        u_dot2 += c * u.deriv(t1)
-    s2 = z2 - model.inner(u_dot2, v2)
-    return (t1, float(s2), v2), (r, tuple(int(-x) for x in shift))
+    rep = point_from_coordinates(t1, w - shift, sigma, lagrangian)
+    return rep, (r, tuple(int(-x) for x in shift))
+
+
+def canonicalize_cell(sigma: LatticeSigma, tau, w: Sequence) -> tuple:
+    """`canonicalize` on rational cell coordinates (tau = log_q t, w),
+    exactly: gamma-hat acts by (tau, w) -> (tau + 1, Xi w) and Phi(c) by
+    w -> w + c, so r = -floor(tau) and shift = -floor(Xi**r w)."""
+    r = -math.floor(tau)
+    moved = xi_power(sigma, w, r)
+    shift = tuple(-math.floor(x) for x in moved)
+    return (tau + r, tuple(x + c for x, c in zip(moved, shift))), (r, shift)

@@ -18,6 +18,7 @@ from ecsforge.cli import DEFAULT_TOLERANCES, build_certificate, canonical_json, 
 from ecsforge.deform import PerturbationF0, solve_a
 from ecsforge.exact import QFieldContext
 from ecsforge.model import ModelData, build_model
+from ecsforge.quotient import HAT, xi_power
 from ecsforge.spectral import standard_family
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -169,6 +170,59 @@ def test_intertwining_failure_turns_the_lattice_sections_red(monkeypatch):
     for name in ("condition-c", "lattice-intertwining"):
         assert by_name[name]["pass"] is False
         assert "intertwining identity fails" in by_name[name]["details"]["failures"][0]
+
+
+def canonicalize_orbit(cert):
+    return next(s for s in cert["sections"] if s["name"] == "canonicalize-orbit")
+
+
+@pytest.mark.parametrize("n, p", [(7, 4), (9, 3)], ids=["7-4", "9-3"])
+def test_canonicalize_orbit_decides_every_pair(n, p):
+    # the exact cell route rejects no draw, also where the float cell is
+    # far out of reach (the float cross-check then runs on no pair)
+    cert = build_certificate(build_model(standard_family((n + 1) // 2), p=p), samples=5, seed=0)
+    section = canonicalize_orbit(cert)
+    assert section["pass"] is True
+    details = section["details"]
+    assert (details["pairs"], details["redraws"], details["float_pairs"]) == (5, 0, 0)
+    assert details["word_identity_failures"] == details["cell_failures"] == []
+    json.dumps(cert, allow_nan=False)
+
+
+def test_word_identity_failure_turns_canonicalize_orbit_red(monkeypatch):
+    # a normal form that conjugates by Xi where Xi^-1 is due
+    def tampered_normal_form(sigma, word):
+        power, coords = 0, (0,) * sigma.size
+        for token in word:
+            if isinstance(token, str):
+                step = 1 if token == HAT else -1
+                power, coords = power + step, xi_power(sigma, coords, step)
+            else:
+                coords = tuple(c + int(v) for c, v in zip(coords, token))
+        return power, coords
+
+    monkeypatch.setattr(cli, "normal_form", tampered_normal_form)
+    cert = build_certificate(build_model(standard_family(3), p=3), samples=5, seed=0)
+    section = canonicalize_orbit(cert)
+    assert section["pass"] is False
+    assert section["details"]["word_identity_failures"]
+    assert section["details"]["cell_failures"] == []
+
+
+def test_float_canonicalize_disagreement_turns_canonicalize_orbit_red(monkeypatch):
+    # the float cross-check must find the exact route's shift
+    real_canonicalize = cli.canonicalize
+
+    def off_by_one(point, gamma_hat, sigma, lagrangian):
+        rep, (r, shift) = real_canonicalize(point, gamma_hat, sigma, lagrangian)
+        return rep, (r, (shift[0] + 1, *shift[1:]))
+
+    monkeypatch.setattr(cli, "canonicalize", off_by_one)
+    cert = build_certificate(build_model(standard_family(3), p=3), samples=5, seed=0)
+    section = canonicalize_orbit(cert)
+    assert section["details"]["float_pairs"] == 5
+    assert section["pass"] is False
+    assert "float canonicalize found" in section["details"]["cell_failures"][0]
 
 
 def test_tampered_spectrum_fails_the_spectral_section(tmp_path):

@@ -10,6 +10,7 @@ word and acting by its normal form must move points identically.
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -35,6 +36,7 @@ from ecsforge.quotient import (
     build_lagrangian,
     build_lattice,
     canonicalize,
+    canonicalize_cell,
     certify_ace,
     fundamental_coordinates,
     h_inverse,
@@ -46,6 +48,7 @@ from ecsforge.quotient import (
     normal_form,
     pi_apply_numeric,
     pi_map,
+    point_from_coordinates,
 )
 from ecsforge.spectral import standard_family
 
@@ -717,6 +720,155 @@ def test_free_action_spot_check():
             t_x, w_x = fundamental_coordinates(point, SIGMA, L)
             t_m, w_m = fundamental_coordinates(moved, SIGMA, L)
             assert np.max(np.abs(w_m - w_x)) > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# cell coordinates (tau = log_q t, w)
+
+
+def test_phi_magnitudes_are_read_from_the_exponents_on_all_models():
+    # Phi_ij = q**(y_i j), so the column maxima and the cell condition need
+    # no float Phi, which overflows at 5 of the 33 models; where it exists
+    # they agree with it, and the isometry section's 3e4 column mask with it
+    cap = 3e4
+    eps = np.finfo(float).eps
+    representable = 0
+    for r, p in ALL_MODELS:
+        sigma = lattice_for(r, p)[0]
+        log_max = sigma.log_phi().max(axis=0)
+        condition = sigma.log10_cell_condition()
+        assert np.all(np.isfinite(log_max)) and math.isfinite(condition), (r, p)
+        try:
+            phi = sigma.phi_float()
+        except OverflowError:
+            continue
+        representable += 1
+        colmax = np.max(np.abs(phi), axis=0)
+        assert np.array_equal(log_max <= math.log(cap), colmax <= cap), (r, p)
+        assert np.allclose(log_max, np.log(colmax), rtol=1e-12, atol=1e-12), (r, p)
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(phi))
+        if math.isfinite(norm):
+            direct = norm * float(np.linalg.norm(sigma.phi_inv_float())) * eps
+            assert condition == pytest.approx(math.log10(direct), abs=1e-9), (r, p)
+    assert representable == 28
+
+
+def hats(count):
+    return [HAT] * count if count >= 0 else [HAT_INV] * (-count)
+
+
+def reference_xi_power(sigma, vector, exponent):
+    xi = sigma.xi if exponent >= 0 else sigma.xi_inverse
+    power = np.linalg.matrix_power(np.array(xi, dtype=object), abs(exponent))
+    return tuple(power @ np.array(vector, dtype=object))
+
+
+def test_canonicalize_cell_and_word_identity_on_all_models():
+    # no float anywhere: Phi(shift) hat**r carries (tau, w) into the cell,
+    # an orbit image lands on the same representative, and the two
+    # reduction words name the same group element at every dimension
+    rng = np.random.default_rng(11)
+    den = 4096
+    for r, p in ALL_MODELS:
+        sigma = lattice_for(r, p)[0]
+        for _ in range(6):
+            tau = Fraction(int(rng.integers(-3 * den, 3 * den)), den)
+            w = tuple(Fraction(int(x), den) for x in rng.integers(-3 * den, 3 * den, sigma.size))
+            rep, (k, shift) = canonicalize_cell(sigma, tau, w)
+            assert 0 <= rep[0] < 1 and all(0 <= x < 1 for x in rep[1]), (r, p)
+            assert rep == (
+                tau + k,
+                tuple(x + c for x, c in zip(reference_xi_power(sigma, w, k), shift)),
+            )
+            e = int(rng.integers(-2, 3))
+            coords = tuple(int(c) for c in rng.integers(-2, 3, sigma.size))
+            moved = tuple(x + c for x, c in zip(reference_xi_power(sigma, w, e), coords))
+            rep_b, (k_b, shift_b) = canonicalize_cell(sigma, tau + e, moved)
+            assert rep_b == rep, (r, p)
+            assert normal_form(sigma, [shift, *hats(k)]) == normal_form(
+                sigma, [shift_b, *hats(k_b), coords, *hats(e)]
+            ), (r, p)
+
+
+def test_canonicalize_cell_on_the_cell_faces():
+    # integer cell coordinates are the cell's corner (0, 0)
+    w = (Fraction(-1), Fraction(0), Fraction(3), Fraction(1))
+    rep, (k, shift) = canonicalize_cell(SIGMA, Fraction(2), w)
+    assert rep == (0, (0, 0, 0, 0))
+    assert k == -2
+    assert shift == tuple(-x for x in reference_xi_power(SIGMA, w, -2))
+    inside = (Fraction(1, 3), (Fraction(0), Fraction(1, 2), Fraction(4095, 4096), Fraction(1, 7)))
+    assert canonicalize_cell(SIGMA, *inside) == (inside, (0, (0, 0, 0, 0)))
+
+
+# Worst residuals of the chart conjugacy over this test's 20 points (2
+# cores, numpy's default BLAS), and the bound each is held to: 100 times
+# the measured figure.  A wrong conjugation (Xi^T or Xi^-1 for Xi) misses
+# by 11 or more.  The lattice residual grows with |Phi| |Phi^-1|: the
+# float chart, not the identity, loses the digits.
+CHART_CONJUGACY_BOUNDS = {
+    # (r, p): (measured hat, measured lattice)
+    (3, 3): (1.8e-15, 2.8e-10),
+    (4, 4): (2.4e-14, 1.7e-9),
+    (5, 3): (5.1e-12, 7.9e-10),
+    (5, 5): (3.2e-9, 4.3e-7),
+}
+
+
+@pytest.mark.parametrize("r, p", sorted(CHART_CONJUGACY_BOUNDS), ids=lambda v: str(v))
+def test_chart_conjugacy(r, p):
+    # w(hat x) = Xi w(x) and w(Phi(c) x) = w(x) + c on the float chart, for
+    # points of chart size 1 and lattice elements below the 3e4 column cap
+    sigma, lagrangian = lattice_for(r, p)
+    model = sigma.model
+    gamma_hat = make_gamma_hat(model)
+    q = float(model.context().q)
+    xi = np.array(sigma.xi, dtype=float)
+    support = sigma.log_phi().max(axis=0) <= math.log(3e4)
+    rng = np.random.default_rng(3)
+    worst_hat = worst_lattice = 0.0
+    for _ in range(20):
+        point = (float(rng.uniform(1.0, q)), float(rng.uniform(-1, 1)), rng.uniform(-1, 1, model.m))
+        t, w = fundamental_coordinates(point, sigma, lagrangian)
+        t_hat, w_hat = fundamental_coordinates(act(gamma_hat, point), sigma, lagrangian)
+        assert t_hat == q * t
+        worst_hat = max(worst_hat, float(np.max(np.abs(w_hat - xi @ w))))
+        coords = tuple(int(c) for c in np.where(support, rng.integers(-2, 3, sigma.size), 0))
+        moved = act(lattice_element(sigma, coords, lagrangian), point)
+        t_c, w_c = fundamental_coordinates(moved, sigma, lagrangian)
+        assert t_c == t
+        worst_lattice = max(worst_lattice, float(np.max(np.abs(w_c - w - np.array(coords)))))
+    measured_hat, measured_lattice = CHART_CONJUGACY_BOUNDS[(r, p)]
+    assert worst_hat <= 100 * measured_hat
+    assert worst_lattice <= 100 * measured_lattice
+
+
+@pytest.mark.parametrize("r, p", [(3, 3), (3, 4), (3, 5)])
+def test_float_canonicalize_finds_the_exact_word(r, p):
+    # on the chart image of a rational cell point clear of the faces, the
+    # float route picks the exact route's (r, shift); the exact
+    # representative's own image is already canonical
+    sigma, lagrangian = lattice_for(r, p)
+    gamma_hat = make_gamma_hat(sigma.model)
+    q = float(sigma.model.context().q)
+    rng = np.random.default_rng(13)
+    den = 4096
+    checked = 0
+    for _ in range(40):
+        tau = Fraction(int(rng.integers(-den, 2 * den)), den)
+        w = tuple(Fraction(int(x), den) for x in rng.integers(-2 * den, 2 * den, sigma.size))
+        rep, word = canonicalize_cell(sigma, tau, w)
+        if min(min(x, 1 - x) for x in (rep[0], *rep[1])) < Fraction(1, 1000):
+            continue
+        checked += 1
+        point = point_from_coordinates(q ** float(tau), np.array(w, dtype=float), sigma, lagrangian)
+        assert canonicalize(point, gamma_hat, sigma, lagrangian)[1] == word
+        image = point_from_coordinates(
+            q ** float(rep[0]), np.array(rep[1], dtype=float), sigma, lagrangian
+        )
+        assert canonicalize(image, gamma_hat, sigma, lagrangian)[1] == (0, (0,) * sigma.size)
+    assert checked >= 30
 
 
 def test_holonomy_scaling_values():
