@@ -136,9 +136,8 @@ def cmd_generate(args) -> int:
 # certify
 
 
-def _exact_section(name: str, failures: Sequence[str], details) -> dict:
+def _exact_section(failures: Sequence[str], details) -> dict:
     return {
-        "name": name,
         "kind": "exact",
         "pass": not failures,
         "residual": "0" if not failures else None,
@@ -146,9 +145,8 @@ def _exact_section(name: str, failures: Sequence[str], details) -> dict:
     }
 
 
-def _numeric_section(name: str, residual: float, tolerance: float, details) -> dict:
+def _numeric_section(residual: float, tolerance: float, details) -> dict:
     return {
-        "name": name,
         "kind": "numeric",
         "pass": bool(residual <= tolerance),
         "residual": float(residual),
@@ -156,23 +154,12 @@ def _numeric_section(name: str, residual: float, tolerance: float, details) -> d
     }
 
 
-def _skipped_section(name: str) -> dict:
+def _failed_section(message: str) -> dict:
     return {
-        "name": name,
         "kind": "exact",
         "pass": False,
         "residual": None,
-        "details": {"failures": ["not run: structural sections failed"]},
-    }
-
-
-def _crashed_section(name: str, exc: Exception) -> dict:
-    return {
-        "name": name,
-        "kind": "exact",
-        "pass": False,
-        "residual": None,
-        "details": {"failures": [f"{type(exc).__name__}: {exc}"]},
+        "details": {"failures": [message]},
     }
 
 
@@ -193,128 +180,110 @@ def _draw_coords(rng, support: np.ndarray) -> tuple[int, ...]:
     return tuple(int(c) for c in coords)
 
 
-def build_certificate(
-    model: ModelData,
-    *,
-    samples: int = 5,
-    seed: int = 0,
-    tolerances: Mapping[str, float] | None = None,
-    inputs: Mapping | None = None,
-) -> dict:
-    """Run every check the pipeline can on one model and bundle the results.
+def _shared(build):
+    """A run attribute built the first time a section reads it, and kept
+    with its failure: the build runs once, and every section that reads an
+    object whose build raised fails with that exception."""
 
-    Section order is fixed; the random draws depend only on `seed`, so the
-    emitted JSON is reproducible byte for byte.  When the structural exact
-    sections fail, the dependent sections are reported as not run (and
-    failing) rather than crashing the tool.
-    """
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        unknown = set(tolerances) - set(tol)
-        if unknown:
-            raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-        tol.update({k: float(v) for k, v in tolerances.items()})
-    homogeneous = isinstance(model.f, HomogeneousF)
-    sections: list[dict] = []
+    def read(run):
+        if build.__name__ not in run.built:
+            try:
+                run.built[build.__name__] = build(run), None
+            except Exception as exc:
+                run.built[build.__name__] = None, exc
+        value, exc = run.built[build.__name__]
+        if exc is not None:
+            raise exc
+        return value
 
-    axiom_failures = model.system.axiom_failures()
-    sections.append(
-        _exact_section("spectral-axioms", axiom_failures, {"m": model.m, "k": model.k})
+    return property(read)
+
+
+class _Run:
+    """One certificate's inputs and the objects its sections share."""
+
+    def __init__(self, model: ModelData, samples: int, seed: int, tol: Mapping[str, float]):
+        self.model, self.samples, self.tol = model, samples, tol
+        self.homogeneous = isinstance(model.f, HomogeneousF)
+        # the one stream of draws, taken in section order
+        self.rng = np.random.default_rng(seed)
+        self.built: dict[str, tuple] = {}
+
+    @_shared
+    def basis(self):
+        return ct_eigenbasis(self.model)
+
+    @_shared
+    def lagrangian(self):
+        return build_lagrangian(self.model, self.basis)
+
+    @_shared
+    def gamma_hat(self):
+        return make_gamma_hat(self.model)
+
+    @_shared
+    def sigma(self):
+        # build_lattice returns only a lattice with Pi Phi = Phi Xi and
+        # det Xi = +-1; when the identity fails it raises, and every
+        # section that reads the lattice fails with its message
+        return build_lattice(self.model, pi_map(self.model, self.gamma_hat, self.lagrangian))
+
+    @_shared
+    def ace(self):
+        return certify_ace(self.model, self.lagrangian, self.sigma)
+
+    @_shared
+    def patch(self):
+        return MetricPatch(self.model)
+
+
+def _spectral_axioms(run: _Run) -> dict:
+    return _exact_section(run.model.system.axiom_failures(), {"m": run.model.m, "k": run.model.k})
+
+
+def _model_identities(run: _Run) -> dict:
+    failures = list(check_model(run.model))
+    flags = {}
+    for group, result in (
+        ("conjugation", conjugation_checks(run.model)),
+        ("isometry", isometry_checks(run.model)),
+        ("bridging", bridging_checks(run.model)),
+    ):
+        for key, ok in result.items():
+            flags[f"{group}.{key}"] = bool(ok)
+            if not ok:
+                failures.append(f"{group}.{key} failed")
+    return _exact_section(failures, flags)
+
+
+def _profile_transfer(run: _Run) -> dict:
+    f, ctx = run.model.f, run.model.context()
+    return _numeric_section(
+        abs(trace_H(f.perturbation, f.a_solved, ctx) - f.target_trace),
+        run.tol["profile_trace"],
+        {
+            "a_solved": f.a_solved,
+            "target_trace": f.target_trace,
+            "eigenfunctions_positive": bool(eig_positivity(f, ctx)),
+        },
     )
-    if not axiom_failures:
-        identity_failures = list(check_model(model))
-        flags = {}
-        for group, result in (
-            ("conjugation", conjugation_checks(model)),
-            ("isometry", isometry_checks(model)),
-            ("bridging", bridging_checks(model)),
-        ):
-            for key, ok in result.items():
-                flags[f"{group}.{key}"] = bool(ok)
-                if not ok:
-                    identity_failures.append(f"{group}.{key} failed")
-        sections.append(_exact_section("model-identities", identity_failures, flags))
-    else:
-        identity_failures = ["not run"]
-        sections.append(_skipped_section("model-identities"))
-
-    structural_ok = not axiom_failures and not identity_failures
-    downstream = [
-        "eigenbasis",
-        "omega-table",
-        "condition-a",
-        "condition-b",
-        "condition-c",
-        "condition-d",
-        "condition-e",
-        "lattice-intertwining",
-        "isometry",
-        "curvature",
-        "canonicalize-orbit",
-        "holonomy",
-        "geodesic-witness",
-    ]
-    if not homogeneous:
-        downstream.insert(0, "profile-transfer")
-    if not structural_ok:
-        sections.extend(_skipped_section(name) for name in downstream)
-        return _assemble(model, sections, samples, seed, tol, inputs)
-
-    rng = np.random.default_rng(seed)
-    try:
-        sections.extend(
-            _dynamic_sections(model, homogeneous, samples, rng, tol)
-        )
-    except Exception as exc:  # pragma: no cover - defensive aggregation
-        done = {s["name"] for s in sections}
-        sections.extend(
-            _crashed_section(name, exc) for name in downstream if name not in done
-        )
-    return _assemble(model, sections, samples, seed, tol, inputs)
 
 
-def _dynamic_sections(model, homogeneous, samples, rng, tol) -> list[dict]:
-    ctx = model.context()
-    sections: list[dict] = []
+def _eigenbasis(run: _Run) -> dict:
+    numeric = ct_eigencheck_residual(run.model, run.basis)
+    if not run.homogeneous:
+        return _numeric_section(numeric, run.tol["eigenbasis"], {})
+    return _exact_section(
+        () if ct_eigencheck_exact(run.model) else ("integer eigen-weight check failed",),
+        {"numeric_cross_check": numeric},
+    )
 
-    if not homogeneous:
-        trace_residual = abs(
-            trace_H(model.f.perturbation, model.f.a_solved, ctx)
-            - model.f.target_trace
-        )
-        sections.append(
-            _numeric_section(
-                "profile-transfer",
-                trace_residual,
-                tol["profile_trace"],
-                {
-                    "a_solved": model.f.a_solved,
-                    "target_trace": model.f.target_trace,
-                    "eigenfunctions_positive": bool(eig_positivity(model.f, ctx)),
-                },
-            )
-        )
 
-    basis = ct_eigenbasis(model)
-    if homogeneous:
-        exact_ok = ct_eigencheck_exact(model)
-        numeric = ct_eigencheck_residual(model, basis)
-        sections.append(
-            _exact_section(
-                "eigenbasis",
-                () if exact_ok else ("integer eigen-weight check failed",),
-                {"numeric_cross_check": numeric},
-            )
-        )
-    else:
-        numeric = ct_eigencheck_residual(model, basis)
-        sections.append(
-            _numeric_section("eigenbasis", numeric, tol["eigenbasis"], {})
-        )
-
-    scaling_exact, scaling_numeric = verify_ct_omega_scaling(model, basis)
-    observed = omega_matrix(model, basis)
-    if homogeneous:
+def _omega_table(run: _Run) -> dict:
+    model = run.model
+    scaling_exact, scaling_numeric = verify_ct_omega_scaling(model, run.basis)
+    observed = omega_matrix(model, run.basis)
+    if run.homogeneous:
         table_residual = float(np.max(np.abs(observed - expected_omega_matrix(model))))
         table_details = {"table": "anti-diagonal +-k*eps"}
     else:
@@ -325,36 +294,36 @@ def _dynamic_sections(model, homogeneous, samples, rng, tol) -> list[dict]:
         pattern[anti] = 0.0
         table_residual = float(np.max(np.abs(pattern)))
         table_details = {"table": "off-pairing entries only (normalized basis)"}
-    sections.append(
-        _numeric_section(
-            "omega-table",
-            max(table_residual, scaling_numeric),
-            tol["omega_table"],
-            {
-                **table_details,
-                "scaling_exact": bool(scaling_exact),
-                "scaling_numeric": scaling_numeric,
-            },
-        )
+    return _numeric_section(
+        max(table_residual, scaling_numeric),
+        run.tol["omega_table"],
+        {
+            **table_details,
+            "scaling_exact": bool(scaling_exact),
+            "scaling_numeric": scaling_numeric,
+        },
     )
 
-    lagrangian = build_lagrangian(model, basis)
-    gamma_hat = make_gamma_hat(model)
-    pi = pi_map(model, gamma_hat, lagrangian)
-    sigma = build_lattice(model, pi)
-    for section in certify_ace(model, lagrangian, sigma):
-        renamed = dict(section)
-        renamed["name"] = f"condition-{section['name'][0].lower()}"
-        sections.append(renamed)
-    # build_lattice returns only a lattice with Pi Phi = Phi Xi and det Xi
-    # = +-1; when the identity fails it raises, and build_certificate
-    # reports the dynamic sections crashed with its message
-    sections.append(_exact_section("lattice-intertwining", (), {"size": sigma.size}))
 
-    patch = MetricPatch(model)
+def _condition(index: int):
+    """certify_ace's section for condition A..E, under the table's name."""
+
+    def section(run: _Run) -> dict:
+        return {key: value for key, value in run.ace[index].items() if key != "name"}
+
+    return section
+
+
+def _lattice_intertwining(run: _Run) -> dict:
+    return _exact_section((), {"size": run.sigma.size})
+
+
+def _isometry(run: _Run) -> dict:
+    rng, samples, patch = run.rng, run.samples, run.patch
+    sigma, gamma_hat = run.sigma, run.gamma_hat
     worst_iso = 0.0
     for _ in range(samples):
-        point = _random_point(rng, model.m)
+        point = _random_point(rng, run.model.m)
         worst_iso = max(
             worst_iso,
             isometry_residual(patch, lambda x: act(gamma_hat, x), point),
@@ -368,12 +337,12 @@ def _dynamic_sections(model, homogeneous, samples, rng, tol) -> list[dict]:
     coeff_cap = 3e4
     support = sigma.log_phi().max(axis=0) <= math.log(coeff_cap)
     elements = [
-        lattice_element(sigma, _draw_coords(rng, support), lagrangian)
+        lattice_element(sigma, _draw_coords(rng, support), run.lagrangian)
         for _ in range(samples)
     ]
     for element in elements:
         for _ in range(samples):
-            point = _random_point(rng, model.m, (0.4, 1.2))
+            point = _random_point(rng, run.model.m, (0.4, 1.2))
             worst_iso = max(
                 worst_iso,
                 isometry_residual(
@@ -383,59 +352,56 @@ def _dynamic_sections(model, homogeneous, samples, rng, tol) -> list[dict]:
                     jacobian=lambda x, e=element: act_jacobian(e, x),
                 ),
             )
-    sections.append(
-        _numeric_section(
-            "isometry",
-            worst_iso,
-            tol["isometry"],
-            {
-                "elements": 1 + len(elements),
-                "points_per_element": samples,
-                "lattice_columns_used": int(support.sum()),
-                "coefficient_cap": coeff_cap,
-            },
-        )
+    return _numeric_section(
+        worst_iso,
+        run.tol["isometry"],
+        {
+            "elements": 1 + len(elements),
+            "points_per_element": samples,
+            "lattice_columns_used": int(support.sum()),
+            "coefficient_cap": coeff_cap,
+        },
     )
 
-    curvature_failures = []
+
+def _curvature(run: _Run) -> dict:
+    tol = run.tol
+    failures = []
     worst_nabla_w = 0.0
     worst_symmetry = 0.0
     min_nabla_r = float("inf")
     olszak_dims = []
-    for _ in range(samples):
-        point = _random_point(rng, model.m)
-        report = curvature_at(patch, point)
+    for _ in range(run.samples):
+        point = _random_point(run.rng, run.model.m)
+        report = curvature_at(run.patch, point)
         if report.norm_weyl <= 0:
-            curvature_failures.append(f"|W| = 0 at t = {point[0]:.4f}")
+            failures.append(f"|W| = 0 at t = {point[0]:.4f}")
             continue
         worst_nabla_w = max(worst_nabla_w, report.norm_nabla_weyl / report.norm_weyl)
         min_nabla_r = min(min_nabla_r, report.norm_nabla_riemann / report.norm_riemann)
         worst_symmetry = max(worst_symmetry, max(report.symmetry_residuals.values()))
         olszak_dims.append(report.olszak_dimension)
-    curvature_pass = (
-        not curvature_failures
-        and worst_nabla_w <= tol["curvature_nabla_weyl"]
+    section = _numeric_section(
+        worst_nabla_w,
+        tol["curvature_nabla_weyl"],
+        {
+            "nabla_riemann_min": min_nabla_r,
+            "nabla_riemann_floor": tol["curvature_nabla_riemann_min"],
+            "symmetry_worst": worst_symmetry,
+            "olszak_dimensions": olszak_dims,
+            "failures": failures,
+        },
+    )
+    section["pass"] = section["pass"] and bool(
+        not failures
         and min_nabla_r >= tol["curvature_nabla_riemann_min"]
         and worst_symmetry <= tol["curvature_symmetry"]
         and all(d == 2 for d in olszak_dims)
     )
-    sections.append(
-        {
-            "name": "curvature",
-            "kind": "numeric",
-            "pass": bool(curvature_pass),
-            "residual": float(worst_nabla_w),
-            "details": {
-                "tolerance": tol["curvature_nabla_weyl"],
-                "nabla_riemann_min": min_nabla_r,
-                "nabla_riemann_floor": tol["curvature_nabla_riemann_min"],
-                "symmetry_worst": worst_symmetry,
-                "olszak_dimensions": olszak_dims,
-                "failures": curvature_failures,
-            },
-        }
-    )
+    return section
 
+
+def _canonicalize_orbit(run: _Run) -> dict:
     # Orbit invariance in exact cell coordinates: a point and its image
     # under g = Phi(c) hat**e reduce to one representative, and the words
     # Phi(shift_a) hat**ra and Phi(shift_b) hat**rb g name one element.
@@ -443,19 +409,21 @@ def _dynamic_sections(model, homogeneous, samples, rng, tol) -> list[dict]:
     # the cell is representable, the basis evaluates exactly and the faces
     # are clear; the images reach 1e10, so the representative's value is
     # checked at its own image.
+    rng, sigma, lagrangian = run.rng, run.sigma, run.lagrangian
+
     def _hats(count: int) -> list:
         return [HAT] * count if count >= 0 else [HAT_INV] * (-count)
 
     def _chart(tau, w) -> tuple:
-        t = float(ctx.q) ** float(tau)
+        t = float(run.model.context().q) ** float(tau)
         return point_from_coordinates(t, np.array(w, dtype=float), sigma, lagrangian)
 
     log10_condition = sigma.log10_cell_condition()
-    rebuild_float = homogeneous and log10_condition + 2.0 < math.log10(tol["canonicalize"])
+    rebuild_float = run.homogeneous and log10_condition + 2.0 < math.log10(run.tol["canonicalize"])
     worst_canon, float_pairs = 0.0, 0
     word_failures, cell_failures = [], []
     den = CELL_DENOMINATOR
-    for _ in range(samples):
+    for _ in range(run.samples):
         tau = Fraction(int(rng.integers(-den, 2 * den)), den)
         w = tuple(Fraction(int(x), den) for x in rng.integers(-2 * den, 2 * den, sigma.size))
         exponent = int(rng.integers(-1, 2))
@@ -473,77 +441,128 @@ def _dynamic_sections(model, homogeneous, samples, rng, tol) -> list[dict]:
             continue
         float_pairs += 1
         point = _chart(tau, w)
-        moved = act_power(gamma_hat, point, exponent)
+        moved = act_power(run.gamma_hat, point, exponent)
         moved = act(lattice_element(sigma, coords, lagrangian), moved)
         expected = _chart(*rep_a)
         for probe, word in ((point, word_a), (moved, word_b), (expected, (0, (0,) * sigma.size))):
-            rep, float_word = canonicalize(probe, gamma_hat, sigma, lagrangian)
+            rep, float_word = canonicalize(probe, run.gamma_hat, sigma, lagrangian)
             if float_word != word:
                 cell_failures.append(f"float canonicalize found {float_word}, not {word}")
         # rep is now the float canonical form of the exact representative
         worst_canon = max(worst_canon, float(np.max(np.abs(np.hstack(rep) - np.hstack(expected)))))
-    sections.append(
-        _numeric_section(
-            "canonicalize-orbit",
-            worst_canon,
-            tol["canonicalize"],
-            {
-                "pairs": samples,
-                "redraws": 0,
-                "float_pairs": float_pairs,
-                "word_identity_failures": word_failures,
-                "cell_failures": cell_failures,
-                "log10_cell_condition": log10_condition,
-            },
-        )
+    section = _numeric_section(
+        worst_canon,
+        run.tol["canonicalize"],
+        {
+            "pairs": run.samples,
+            "redraws": 0,
+            "float_pairs": float_pairs,
+            "word_identity_failures": word_failures,
+            "cell_failures": cell_failures,
+            "log10_cell_condition": log10_condition,
+        },
     )
-    if word_failures or cell_failures:
-        sections[-1]["pass"] = False
+    section["pass"] = section["pass"] and not word_failures and not cell_failures
+    return section
 
-    factor = holonomy_scaling(gamma_hat)
-    dilational = factor != ctx.one
-    sections.append(
-        _exact_section(
-            "holonomy",
-            () if dilational else ("scaling holonomy is trivial",),
-            {
-                "dilational": bool(dilational),
-                "homogeneous": bool(homogeneous),
-                "factor": str(factor),
-            },
-        )
+
+def _holonomy(run: _Run) -> dict:
+    factor = holonomy_scaling(run.gamma_hat)
+    dilational = factor != run.model.context().one
+    return _exact_section(
+        () if dilational else ("scaling holonomy is trivial",),
+        {
+            "dilational": bool(dilational),
+            "homogeneous": bool(run.homogeneous),
+            "factor": str(factor),
+        },
     )
 
+
+def _geodesic_witness(run: _Run) -> dict:
+    tol = run.tol
     trace = geodesic_trace(
-        patch,
-        (1.0, 0.0, np.zeros(model.m)),
-        np.concatenate([[-1.0, 0.3], np.zeros(model.m)]),
+        run.patch,
+        (1.0, 0.0, np.zeros(run.model.m)),
+        np.concatenate([[-1.0, 0.3], np.zeros(run.model.m)]),
         affine_span=1.5,
     )
-    witness_ok = (
+    section = _numeric_section(
+        trace.affinity_deviation,
+        tol["geodesic_deviation"],
+        {
+            "witness_tau": trace.witness_tau,
+            "parameter_window": tol["geodesic_parameter"],
+            "final_t": trace.final_point[0],
+        },
+    )
+    section["pass"] = section["pass"] and bool(
         trace.reached_cutoff
         and trace.witness_tau is not None
         and abs(trace.witness_tau - 1.0) <= tol["geodesic_parameter"]
-        and trace.affinity_deviation <= tol["geodesic_deviation"]
     )
-    sections.append(
-        {
-            "name": "geodesic-witness",
-            "kind": "numeric",
-            "pass": bool(witness_ok),
-            "residual": float(trace.affinity_deviation),
-            "details": {
-                "tolerance": tol["geodesic_deviation"],
-                "witness_tau": trace.witness_tau,
-                "parameter_window": tol["geodesic_parameter"],
-                "final_t": trace.final_point[0],
-            },
-        }
-    )
-    return sections
+    return section
 
 
-def _assemble(model, sections, samples, seed, tol, inputs) -> dict:
+# The first STRUCTURAL rows check the model's own data; when one fails,
+# every later row is reported not run.
+STRUCTURAL = 2
+
+
+def _section_table(homogeneous: bool) -> list:
+    """(name, section function) in certificate order; profile-transfer
+    exists only for a deformed profile."""
+    return [
+        ("spectral-axioms", _spectral_axioms),
+        ("model-identities", _model_identities),
+        *([] if homogeneous else [("profile-transfer", _profile_transfer)]),
+        ("eigenbasis", _eigenbasis),
+        ("omega-table", _omega_table),
+        *((f"condition-{letter}", _condition(index)) for index, letter in enumerate("abcde")),
+        ("lattice-intertwining", _lattice_intertwining),
+        ("isometry", _isometry),
+        ("curvature", _curvature),
+        ("canonicalize-orbit", _canonicalize_orbit),
+        ("holonomy", _holonomy),
+        ("geodesic-witness", _geodesic_witness),
+    ]
+
+
+def build_certificate(
+    model: ModelData,
+    *,
+    samples: int = 5,
+    seed: int = 0,
+    tolerances: Mapping[str, float] | None = None,
+    inputs: Mapping | None = None,
+) -> dict:
+    """Run every check the pipeline can on one model and bundle the results.
+
+    Section order is fixed; the random draws depend only on `seed`, so the
+    emitted JSON is reproducible byte for byte.  When a structural section
+    fails, every later section is reported as not run (and failing).  A
+    section that raises, or reads a shared object whose build raised,
+    fails with that exception's message; every other section runs.
+    """
+    tol = dict(DEFAULT_TOLERANCES)
+    if tolerances:
+        unknown = set(tolerances) - set(tol)
+        if unknown:
+            raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
+        tol.update({k: float(v) for k, v in tolerances.items()})
+    run = _Run(model, samples, seed, tol)
+    sections: list[dict] = []
+    blocked = False
+    for index, (name, check) in enumerate(_section_table(run.homogeneous)):
+        if blocked:
+            result = _failed_section("not run: structural sections failed")
+        else:
+            try:
+                result = check(run)
+            except Exception as exc:
+                result = _failed_section(f"{type(exc).__name__}: {exc}")
+            blocked = index < STRUCTURAL and not result["pass"]
+        sections.append({"name": name, **result})
     return {
         "tool_version": TOOL,
         "inputs": {

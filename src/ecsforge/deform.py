@@ -38,6 +38,11 @@ __all__ = [
     "recovered_base",
 ]
 
+# grid sizes over one period: of g for its amplitude, and of [1/q, q] for
+# the eigenfunctions' positivity
+G_SAMPLES = 4096
+POSITIVITY_POINTS = 241
+
 
 @dataclass(frozen=True)
 class PerturbationF0:
@@ -83,12 +88,12 @@ class PerturbationF0:
             total += freq * (-a_j * math.sin(angle) + b_j * math.cos(angle))
         return total
 
-    def max_abs_g(self, samples: int = 4096) -> float:
+    def max_abs_g(self) -> float:
         """Amplitude of g over one period, by dense sampling (g is a low
         order trigonometric polynomial, so this resolves the maximum)."""
         if self.is_zero:
             return 0.0
-        grid = np.linspace(0.0, 1.0, samples, endpoint=False)
+        grid = np.linspace(0.0, 1.0, G_SAMPLES, endpoint=False)
         return max(abs(self.g(x)) for x in grid)
 
     def fstar_value(self, t: float, log_q: float) -> float:
@@ -260,9 +265,9 @@ def solve_a(fstar: PerturbationF0, c: float, ctx: QFieldContext) -> DeformedF:
     )
 
 
-def _positive_on_grid(fn, lo: float, hi: float, count: int = 241) -> bool:
+def _positive_on_grid(fn, lo: float, hi: float) -> bool:
     """Strict positivity of fn.value on a geometric grid of [lo, hi]."""
-    return all(fn.value(t) > 0.0 for t in np.geomspace(lo, hi, count))
+    return all(fn.value(t) > 0.0 for t in np.geomspace(lo, hi, POSITIVITY_POINTS))
 
 
 def eig_positivity(df: DeformedF, ctx: QFieldContext | None = None) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 __all__ = [
     "QFieldElement",
@@ -303,14 +303,6 @@ class QFieldElement:
             "b_den": str(b.denominator),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, str], d: int) -> "QFieldElement":
-        return cls(
-            Fraction(int(data["a_num"]), int(data["a_den"])),
-            Fraction(int(data["b_num"]), int(data["b_den"])),
-            d,
-        )
-
 
 # The slots' own setters bypass the __setattr__ that keeps elements immutable.
 _set_a, _set_b, _set_den, _set_d = (
@@ -364,9 +356,6 @@ class QFieldContext:
 
     def element(self, a: Rational, b: Rational = 0) -> QFieldElement:
         return QFieldElement(Fraction(a), Fraction(b), self.d)
-
-    def element_from_json(self, data: Mapping[str, str]) -> QFieldElement:
-        return QFieldElement.from_json_dict(data, self.d)
 
     def q_power(self, exponent: int) -> QFieldElement:
         powers = self._powers
@@ -444,16 +433,6 @@ class IntPolynomial:
         for c in reversed(self.coefficients):
             result = result * x + c
         return result
-
-    def emitted_coefficients(self) -> tuple[int, ...]:
-        """Coefficients as written into certificates: scaled by (-1)**degree.
-
-        For spectra closed under inversion the scaled constant term is always
-        +1, whatever the degree parity, which makes emitted polynomials
-        directly comparable across models.
-        """
-        sign = -1 if self.degree % 2 else 1
-        return tuple(sign * c for c in self.coefficients)
 
     def __repr__(self) -> str:
         return f"IntPolynomial({self.coefficients})"

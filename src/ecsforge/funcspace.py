@@ -52,6 +52,19 @@ __all__ = [
 ]
 
 
+# Integrator tolerances of the lazily integrated solutions (OdeFn's
+# defaults, ForcedOdeFn's values) and of the one-pass transfer matrix
+ODE_RTOL = 1e-12
+ODE_ATOL = 1e-14
+TRANSFER_RTOL = 1e-13
+TRANSFER_ATOL = 1e-15
+
+# Sample points of the numeric eigen and Omega-scaling checks
+QT_CHECK_TS = (1.3, 1.9, 2.6)
+CT_CHECK_TS = (1.0, 1.7, 2.4)
+OMEGA_SCALING_TS = (1.0, 1.6, 2.3)
+
+
 # ---------------------------------------------------------------------------
 # scalar functions
 
@@ -90,18 +103,16 @@ class _LogTimeSolution:
     y'' = f(t) y into the first-order system (y, w)' = (w, w + t**2 f(t) y)
     with t = e^tau, in which the self-similar profiles become literally
     periodic coefficients.  Subclasses supply the right-hand side `_rhs` and
-    the start state at t0; dense output segments are cached and extended on
-    demand in either direction.
+    the start state at t = 1; dense output segments are cached and extended
+    on demand in either direction.
     """
 
-    def __init__(self, profile, init, *, t0: float, rtol: float, atol: float) -> None:
-        if t0 <= 0:
-            raise ValueError("solutions live on t > 0")
+    def __init__(self, profile, init, *, rtol: float, atol: float) -> None:
         self.profile = profile
         self.rtol = rtol
         self.atol = atol
         self._init = np.array(init)
-        self._lo = self._hi = math.log(t0)
+        self._lo = self._hi = 0.0
         self._state_lo = self._init.copy()
         self._state_hi = self._init.copy()
         self._segments: list[tuple[float, float, object]] = []
@@ -142,19 +153,12 @@ class _LogTimeSolution:
 
 
 class OdeFn(_LogTimeSolution):
-    """A solution of y'' = f(t) y with y(t0) = y0, y'(t0) = dy0."""
+    """A solution of y'' = f(t) y with y(1) = y0, y'(1) = dy0."""
 
     def __init__(
-        self,
-        profile,
-        y0: float,
-        dy0: float,
-        *,
-        t0: float = 1.0,
-        rtol: float = 1e-12,
-        atol: float = 1e-14,
+        self, profile, y0: float, dy0: float, *, rtol: float = ODE_RTOL, atol: float = ODE_ATOL
     ) -> None:
-        super().__init__(profile, [float(y0), float(dy0) * t0], t0=t0, rtol=rtol, atol=atol)
+        super().__init__(profile, [float(y0), float(dy0)], rtol=rtol, atol=atol)
 
     def _rhs(self, tau: float, state):
         t = math.exp(tau)
@@ -175,17 +179,9 @@ class ForcedOdeFn(_LogTimeSolution):
     system, which sidesteps any interpolation of the source into the
     quadrature."""
 
-    def __init__(
-        self,
-        profile,
-        source_y0: float,
-        source_dy0: float,
-        *,
-        rtol: float = 1e-12,
-        atol: float = 1e-14,
-    ) -> None:
+    def __init__(self, profile, source_y0: float, source_dy0: float) -> None:
         init = [float(source_y0), float(source_dy0), 0.0, 0.0]
-        super().__init__(profile, init, t0=1.0, rtol=rtol, atol=atol)
+        super().__init__(profile, init, rtol=ODE_RTOL, atol=ODE_ATOL)
 
     def _rhs(self, tau: float, state):
         t = math.exp(tau)
@@ -198,9 +194,6 @@ class ForcedOdeFn(_LogTimeSolution):
 
     def deriv(self, t: float) -> float:
         return float(self._state(t)[3]) / t
-
-    def source_value(self, t: float) -> float:
-        return float(self._state(t)[0])
 
 
 @dataclass(frozen=True)
@@ -240,7 +233,7 @@ def wronskian(f1, f2, t: float) -> float:
 # scalar transfer operator
 
 
-def transfer_matrix_T(profile, q: float, *, rtol: float = 1e-13, atol: float = 1e-15):
+def transfer_matrix_T(profile, q: float):
     """Matrix of (T y)(t) = y(t/q) on solutions of y'' = f y, in the basis
     of initial conditions (y(1), y'(1)) = (1, 0) and (0, 1).
 
@@ -261,7 +254,8 @@ def transfer_matrix_T(profile, q: float, *, rtol: float = 1e-13, atol: float = 1
         return (w1, w1 + t2f * y1, w2, w2 + t2f * y2)
 
     sol = solve_ivp(
-        rhs, (0.0, -math.log(q)), (1.0, 0.0, 0.0, 1.0), method="DOP853", rtol=rtol, atol=atol
+        rhs, (0.0, -math.log(q)), (1.0, 0.0, 0.0, 1.0), method="DOP853",
+        rtol=TRANSFER_RTOL, atol=TRANSFER_ATOL,
     )
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
@@ -372,13 +366,13 @@ def particular_solutions(model: ModelData, scalar_basis):
     return tuple(out)
 
 
-def qt_eigen_residual(model: ModelData, fn, lam_exponent: int, ts=(1.3, 1.9, 2.6)) -> float:
+def qt_eigen_residual(model: ModelData, fn, lam_exponent: int) -> float:
     """Worst relative defect of (qT) fn = q**lam_exponent * fn over sample points."""
     ctx = model.context()
     q = float(ctx.q)
     lam = float(ctx.q_power(lam_exponent))
     worst = 0.0
-    for t in ts:
+    for t in QT_CHECK_TS:
         lhs = q * fn.value(t / q)
         rhs = lam * fn.value(t)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
@@ -531,11 +525,7 @@ def ct_eigencheck_exact(model: ModelData) -> bool:
     return True
 
 
-def ct_eigencheck_residual(
-    model: ModelData,
-    basis: Sequence[ESolution] | None = None,
-    ts: Sequence[float] = (1.0, 1.7, 2.4),
-) -> float:
+def ct_eigencheck_residual(model: ModelData, basis: Sequence[ESolution] | None = None) -> float:
     """Numeric route to the same eigen-statement: worst relative defect of
     (CT)u_x = q**E(x) u_x over the basis and sample points."""
     if basis is None:
@@ -545,7 +535,7 @@ def ct_eigencheck_residual(
     for x, u in enumerate(basis, start=1):
         lam = float(ctx.q_power(model.system.E_of(x)))
         image = ct_image(model, u)
-        for t in ts:
+        for t in CT_CHECK_TS:
             lhs = image.value(t)
             rhs = lam * u.value(t)
             scale = max(1.0, float(np.linalg.norm(rhs)))
@@ -558,9 +548,7 @@ def ct_eigencheck_residual(
 
 
 def verify_ct_omega_scaling(
-    model: ModelData,
-    basis: Sequence[ESolution] | None = None,
-    ts: Sequence[float] = (1.0, 1.6, 2.3),
+    model: ModelData, basis: Sequence[ESolution] | None = None
 ) -> tuple[bool, float]:
     """(CT)*Omega = Omega/q, certified twice.
 
@@ -580,7 +568,7 @@ def verify_ct_omega_scaling(
     images = [ct_image(model, u) for u in basis]
     q = float(model.context().q)
     worst = 0.0
-    for t in ts:
+    for t in OMEGA_SCALING_TS:
         direct = omega_matrix(model, basis, t)
         moved = omega_matrix(model, images, t)
         worst = max(worst, float(np.max(np.abs(moved - direct / q))))

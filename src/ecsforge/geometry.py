@@ -430,6 +430,11 @@ def nabla_riemann_norm(
 # singular values below this fraction of the largest count as zero
 OLSZAK_THRESHOLD = 1e-7
 
+# relative central-difference step of isometry_residual's default Jacobian
+ISOMETRY_STEP = 1e-6
+# dense-output points at which geodesic_trace measures t's affinity
+GEODESIC_SAMPLES = 201
+
 
 def olszak_singular_values(weyl: np.ndarray) -> tuple[int, tuple[float, ...]]:
     """Dimension of {xi : xi wedge W(e_a, e_b, ., .) = 0 for all a, b},
@@ -469,11 +474,7 @@ def olszak_singular_values(weyl: np.ndarray) -> tuple[int, tuple[float, ...]]:
 
 
 def isometry_residual(
-    patch: MetricPatch,
-    mapping: Callable,
-    point,
-    step: float = 1e-6,
-    jacobian: Callable | None = None,
+    patch: MetricPatch, mapping: Callable, point, jacobian: Callable | None = None
 ) -> float:
     """Relative defect |phi* g - g| / |g| of a chart map at the point.
 
@@ -494,7 +495,7 @@ def isometry_residual(
     else:
         jac = np.zeros((n, n))
         for c in range(n):
-            h = step * max(1.0, abs(x[c]))
+            h = ISOMETRY_STEP * max(1.0, abs(x[c]))
             offset = np.zeros(n)
             offset[c] = h
             plus = _as_array(mapping(_as_point(x + offset)))
@@ -533,7 +534,6 @@ def geodesic_trace(
     velocity: Sequence[float],
     affine_span: float = 1.0,
     cutoff: float = 1e-3,
-    samples: int = 201,
 ) -> GeodesicReport:
     x0 = _as_array(point)
     if x0[0] <= 0:
@@ -570,7 +570,7 @@ def geodesic_trace(
         events=hit_cutoff,
     )
     end = solution.t[-1]
-    taus = np.linspace(0.0, end, samples)
+    taus = np.linspace(0.0, end, GEODESIC_SAMPLES)
     states = solution.sol(taus)
     deviation = float(np.max(np.abs(states[0] - (x0[0] + v0[0] * taus))))
     witness = None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterator
 
 __all__ = ["ZSpectralSystem", "standard_family", "search_systems"]
 
@@ -69,9 +69,6 @@ class ZSpectralSystem:
         """Y = {-1} together with the selected exponents."""
         return frozenset({-1} | {self.E[i - 1] for i in self.selector})
 
-    def selected_exponent_sum(self) -> int:
-        return sum(self.E[i - 1] for i in self.selector)
-
     # -- validation ----------------------------------------------------------
 
     def axiom_failures(self) -> tuple[str, ...]:
@@ -122,17 +119,6 @@ class ZSpectralSystem:
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "k": self.k, "E": list(self.E), "J": list(self.J)}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "ZSpectralSystem":
-        system = cls(
-            m=int(data["m"]),
-            k=int(data["k"]),
-            E=tuple(data["E"]),
-            J=tuple(data["J"]),
-        )
-        system.validate()
-        return system
 
 
 def standard_family(r: int) -> ZSpectralSystem:

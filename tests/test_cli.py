@@ -152,9 +152,15 @@ def test_certificate_matches_golden_file(n, p, coeffs):
     assert emitted == golden
 
 
+def _sections_by_name(cert):
+    return {s["name"]: s for s in cert["sections"]}
+
+
 def test_intertwining_failure_turns_the_lattice_sections_red(monkeypatch):
     # Pi Phi = Phi Xi is checked once, when build_lattice runs; a Pi that
-    # breaks it must still fail both sections that report the identity
+    # breaks it fails every section that reads the lattice, and no other
+    model = build_model(standard_family(3), p=3)
+    untampered = _sections_by_name(build_certificate(model, samples=1, seed=0))
     real_pi_map = cli.pi_map
 
     def tampered_pi_map(model, gamma_hat, lagrangian):
@@ -163,13 +169,43 @@ def test_intertwining_failure_turns_the_lattice_sections_red(monkeypatch):
         return tuple(tuple(row) for row in rows)
 
     monkeypatch.setattr(cli, "pi_map", tampered_pi_map)
-    model = build_model(standard_family(3), p=3)
     cert = build_certificate(model, samples=1, seed=0)
     assert cert["overall_pass"] is False
-    by_name = {s["name"]: s for s in cert["sections"]}
-    for name in ("condition-c", "lattice-intertwining"):
+    by_name = _sections_by_name(cert)
+    assert list(by_name) == SECTION_ORDER
+    lattice_readers = [f"condition-{letter}" for letter in "abcde"]
+    lattice_readers += ["lattice-intertwining", "isometry", "canonicalize-orbit"]
+    for name in lattice_readers:
         assert by_name[name]["pass"] is False
+        assert by_name[name]["details"]["failures"] == [
+            by_name["condition-a"]["details"]["failures"][0]
+        ]
         assert "intertwining identity fails" in by_name[name]["details"]["failures"][0]
+    # these sections draw nothing at random, so they match the untampered run
+    for name in ("eigenbasis", "omega-table", "holonomy", "geodesic-witness"):
+        assert by_name[name] == untampered[name]
+    # curvature takes the draws the failed isometry section left, and passes
+    assert by_name["curvature"]["pass"] is True
+
+
+def test_a_crash_fails_only_its_own_section(monkeypatch):
+    model = build_model(standard_family(3), p=3)
+    untampered = _sections_by_name(build_certificate(model, samples=2, seed=0))
+
+    def broken_holonomy_scaling(gamma_hat):
+        raise RuntimeError("holonomy unavailable")
+
+    monkeypatch.setattr(cli, "holonomy_scaling", broken_holonomy_scaling)
+    by_name = _sections_by_name(build_certificate(model, samples=2, seed=0))
+    assert list(by_name) == SECTION_ORDER
+    assert by_name.pop("holonomy") == {
+        "name": "holonomy",
+        "kind": "exact",
+        "pass": False,
+        "residual": None,
+        "details": {"failures": ["RuntimeError: holonomy unavailable"]},
+    }
+    assert by_name == {name: s for name, s in untampered.items() if name != "holonomy"}
 
 
 def canonicalize_orbit(cert):

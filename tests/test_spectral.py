@@ -90,7 +90,7 @@ def test_family_axioms_through_r13():
         assert system.k == system.m + 2
         assert system.m % 2 == 1
         assert len(system.selector) == system.m
-        assert system.selected_exponent_sum() == 1
+        assert sum(system.E_of(i) for i in system.selector) == 1
         assert system.exponent_spectrum == frozenset(family_spectrum_oracle(r))
 
 
@@ -155,12 +155,10 @@ def test_duplicate_selected_exponent_fails_d():
 
 def test_json_round_trip():
     system = standard_family(4)
-    rebuilt = ZSpectralSystem.from_json_dict(system.to_json_dict())
-    assert rebuilt == system
-    bad = system.to_json_dict()
-    bad["k"] = 9
+    data = system.to_json_dict()
+    assert ZSpectralSystem(data["m"], data["k"], tuple(data["E"]), tuple(data["J"])) == system
     with pytest.raises(ValueError):
-        ZSpectralSystem.from_json_dict(bad)
+        ZSpectralSystem(data["m"], 9, tuple(data["E"]), tuple(data["J"])).validate()
 
 
 # ---------------------------------------------------------------------------
