@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .deform import PerturbationF0, eig_positivity, solve_a, trace_H
-from .exact import QFieldContext
+from .exact import QFieldContext, det_int
 from .funcspace import (
     ct_eigenbasis,
     ct_eigencheck_exact,
@@ -51,6 +51,7 @@ from .model import (
     load_model_lenient,
 )
 from .quotient import (
+    EVALUATION_POINTS,
     HAT,
     HAT_INV,
     act,
@@ -88,6 +89,13 @@ DEFAULT_TOLERANCES = {
     "geodesic_parameter": 1e-3,
 }
 
+
+# the bounds of conditions B, D and E: B's numeric CT-invariance residual,
+# D's sampled maximum of the pairing on L, and E's evaluation-matrix
+# condition number over one period
+B_BOUND = 1e-7
+D_BOUND = 1e-8
+CONDITION_BOUND = 1e8
 
 # canonicalize-orbit draws tau in [-1, 2) and w in [-2, 2)**(m+1) over this
 # denominator; its float cross-check needs this gap to every cell face
@@ -145,10 +153,12 @@ def _exact_section(failures: Sequence[str], details) -> dict:
     }
 
 
-def _numeric_section(residual: float, tolerance: float, details) -> dict:
+def _numeric_section(residual: float, tolerance: float, details, *, holds: bool) -> dict:
+    """A numeric section passes when its residual is within tolerance and
+    its extra pass condition `holds`."""
     return {
         "kind": "numeric",
-        "pass": bool(residual <= tolerance),
+        "pass": bool(residual <= tolerance and holds),
         "residual": float(residual),
         "details": {"tolerance": tolerance, **details},
     }
@@ -230,7 +240,12 @@ class _Run:
 
     @_shared
     def ace(self):
-        return certify_ace(self.model, self.lagrangian, self.sigma)
+        return certify_ace(self.model, self.lagrangian)
+
+    @_shared
+    def eigen_exact(self):
+        # the integer eigen-weight check, read by eigenbasis and condition-b
+        return ct_eigencheck_exact(self.model)
 
     @_shared
     def patch(self):
@@ -266,15 +281,16 @@ def _profile_transfer(run: _Run) -> dict:
             "target_trace": f.target_trace,
             "eigenfunctions_positive": bool(eig_positivity(f, ctx)),
         },
+        holds=True,
     )
 
 
 def _eigenbasis(run: _Run) -> dict:
     numeric = ct_eigencheck_residual(run.model, run.basis)
     if not run.homogeneous:
-        return _numeric_section(numeric, run.tol["eigenbasis"], {})
+        return _numeric_section(numeric, run.tol["eigenbasis"], {}, holds=True)
     return _exact_section(
-        () if ct_eigencheck_exact(run.model) else ("integer eigen-weight check failed",),
+        () if run.eigen_exact else ("integer eigen-weight check failed",),
         {"numeric_cross_check": numeric},
     )
 
@@ -302,16 +318,65 @@ def _omega_table(run: _Run) -> dict:
             "scaling_exact": bool(scaling_exact),
             "scaling_numeric": scaling_numeric,
         },
+        holds=True,
     )
 
 
-def _condition(index: int):
-    """certify_ace's section for condition A..E, under the table's name."""
+def _condition_a(run: _Run) -> dict:
+    lagrangian = run.lagrangian
+    return _exact_section(
+        () if run.ace["dimension_ok"] else ("L is not m slots with distinct CT exponents",),
+        {
+            "dimension": lagrangian.dimension,
+            "expected": run.model.m,
+            "slots": list(lagrangian.index_set),
+        },
+    )
 
-    def section(run: _Run) -> dict:
-        return {key: value for key, value in run.ace[index].items() if key != "name"}
 
-    return section
+def _condition_b(run: _Run) -> dict:
+    # CT-invariance of L is the eigen-equation of each basis member; for the
+    # power law the integer eigen-weight check proves it
+    residual = run.ace["b_residual"]
+    details = {"numeric_residual": residual}
+    if not run.homogeneous:
+        return _numeric_section(residual, B_BOUND, details, holds=True)
+    failures = [] if run.eigen_exact else ["integer eigen-weight check failed"]
+    if residual > B_BOUND:
+        failures.append(f"numeric residual {residual:.3e} above {B_BOUND:g}")
+    return _exact_section(failures, details)
+
+
+def _condition_c(run: _Run) -> dict:
+    # build_lattice returns only a lattice with Pi Phi = Phi Xi and
+    # det Xi = +-1, verified in exact arithmetic
+    sigma = run.sigma
+    return _exact_section(
+        (),
+        {"xi_determinant": det_int(sigma.xi), "y_exponents": list(sigma.y_exponents)},
+    )
+
+
+def _condition_d(run: _Run) -> dict:
+    numeric_max = run.ace["d_numeric_max"]
+    failures = [] if run.ace["d_exact"] else ["two selected slots sum to 2m+1"]
+    if numeric_max > D_BOUND:
+        failures.append(f"numeric maximum {numeric_max:.3e} above {D_BOUND:g}")
+    return _exact_section(failures, {"numeric_max": numeric_max})
+
+
+def _condition_e(run: _Run) -> dict:
+    ace = run.ace
+    return _numeric_section(
+        ace["e_max_condition"],
+        CONDITION_BOUND,
+        {
+            "min_diagonal": ace["e_min_diagonal"],
+            "max_condition": ace["e_max_condition"],
+            "points": EVALUATION_POINTS,
+        },
+        holds=ace["e_min_diagonal"] > 0,
+    )
 
 
 def _lattice_intertwining(run: _Run) -> dict:
@@ -361,6 +426,7 @@ def _isometry(run: _Run) -> dict:
             "lattice_columns_used": int(support.sum()),
             "coefficient_cap": coeff_cap,
         },
+        holds=True,
     )
 
 
@@ -381,7 +447,7 @@ def _curvature(run: _Run) -> dict:
         min_nabla_r = min(min_nabla_r, report.norm_nabla_riemann / report.norm_riemann)
         worst_symmetry = max(worst_symmetry, max(report.symmetry_residuals.values()))
         olszak_dims.append(report.olszak_dimension)
-    section = _numeric_section(
+    return _numeric_section(
         worst_nabla_w,
         tol["curvature_nabla_weyl"],
         {
@@ -391,14 +457,11 @@ def _curvature(run: _Run) -> dict:
             "olszak_dimensions": olszak_dims,
             "failures": failures,
         },
-    )
-    section["pass"] = section["pass"] and bool(
-        not failures
+        holds=not failures
         and min_nabla_r >= tol["curvature_nabla_riemann_min"]
         and worst_symmetry <= tol["curvature_symmetry"]
-        and all(d == 2 for d in olszak_dims)
+        and all(d == 2 for d in olszak_dims),
     )
-    return section
 
 
 def _canonicalize_orbit(run: _Run) -> dict:
@@ -450,7 +513,7 @@ def _canonicalize_orbit(run: _Run) -> dict:
                 cell_failures.append(f"float canonicalize found {float_word}, not {word}")
         # rep is now the float canonical form of the exact representative
         worst_canon = max(worst_canon, float(np.max(np.abs(np.hstack(rep) - np.hstack(expected)))))
-    section = _numeric_section(
+    return _numeric_section(
         worst_canon,
         run.tol["canonicalize"],
         {
@@ -461,9 +524,8 @@ def _canonicalize_orbit(run: _Run) -> dict:
             "cell_failures": cell_failures,
             "log10_cell_condition": log10_condition,
         },
+        holds=not word_failures and not cell_failures,
     )
-    section["pass"] = section["pass"] and not word_failures and not cell_failures
-    return section
 
 
 def _holonomy(run: _Run) -> dict:
@@ -487,7 +549,7 @@ def _geodesic_witness(run: _Run) -> dict:
         np.concatenate([[-1.0, 0.3], np.zeros(run.model.m)]),
         affine_span=1.5,
     )
-    section = _numeric_section(
+    return _numeric_section(
         trace.affinity_deviation,
         tol["geodesic_deviation"],
         {
@@ -495,13 +557,10 @@ def _geodesic_witness(run: _Run) -> dict:
             "parameter_window": tol["geodesic_parameter"],
             "final_t": trace.final_point[0],
         },
-    )
-    section["pass"] = section["pass"] and bool(
-        trace.reached_cutoff
+        holds=trace.reached_cutoff
         and trace.witness_tau is not None
-        and abs(trace.witness_tau - 1.0) <= tol["geodesic_parameter"]
+        and abs(trace.witness_tau - 1.0) <= tol["geodesic_parameter"],
     )
-    return section
 
 
 # The first STRUCTURAL rows check the model's own data; when one fails,
@@ -518,7 +577,11 @@ def _section_table(homogeneous: bool) -> list:
         *([] if homogeneous else [("profile-transfer", _profile_transfer)]),
         ("eigenbasis", _eigenbasis),
         ("omega-table", _omega_table),
-        *((f"condition-{letter}", _condition(index)) for index, letter in enumerate("abcde")),
+        ("condition-a", _condition_a),
+        ("condition-b", _condition_b),
+        ("condition-c", _condition_c),
+        ("condition-d", _condition_d),
+        ("condition-e", _condition_e),
         ("lattice-intertwining", _lattice_intertwining),
         ("isometry", _isometry),
         ("curvature", _curvature),

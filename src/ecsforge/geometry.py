@@ -283,25 +283,6 @@ class CurvatureReport:
     step: float
     derivative_step: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "point": {
-                "t": self.point[0],
-                "s": self.point[1],
-                "v": [float(c) for c in np.atleast_1d(self.point[2])],
-            },
-            "scalar": self.scalar,
-            "norm_riemann": self.norm_riemann,
-            "norm_weyl": self.norm_weyl,
-            "norm_nabla_weyl": self.norm_nabla_weyl,
-            "norm_nabla_riemann": self.norm_nabla_riemann,
-            "olszak_dimension": self.olszak_dimension,
-            "olszak_singulars": [float(s) for s in self.olszak_singulars],
-            "symmetry_residuals": {k: float(v) for k, v in self.symmetry_residuals.items()},
-            "step": self.step,
-            "derivative_step": self.derivative_step,
-        }
-
 
 def _weyl(core):
     return core[6]
@@ -520,8 +501,6 @@ class GeodesicReport:
     which t crossed the cutoff — the incompleteness certificate.
     """
 
-    times: np.ndarray
-    states: np.ndarray
     affinity_deviation: float
     witness_tau: float | None
     reached_cutoff: bool
@@ -577,8 +556,6 @@ def geodesic_trace(
     if solution.t_events[0].size:
         witness = float(solution.t_events[0][0])
     return GeodesicReport(
-        times=taus,
-        states=states.T,
         affinity_deviation=deviation,
         witness_tau=witness,
         reached_cutoff=witness is not None,

@@ -110,15 +110,17 @@ def test_certify_homogeneous_model_passes(tmp_path):
 
 
 def test_exact_sections_report_the_literal_zero(tmp_path):
-    out = generate(tmp_path)
-    main(["certify", str(out), "--samples", "2"])
-    cert = json.loads((tmp_path / "model.certificate.json").read_text())
-    for section in cert["sections"]:
-        if section["kind"] == "exact":
-            assert section["residual"] == "0"
-        else:
-            assert isinstance(section["residual"], float)
-        assert section["pass"] is True
+    for extra in ((), ("--deform-coeffs", "[[0.02, 0.01]]")):
+        out = generate(tmp_path, *extra)
+        main(["certify", str(out), "--samples", "2"])
+        cert = json.loads((tmp_path / "model.certificate.json").read_text())
+        for section in cert["sections"]:
+            if section["kind"] == "exact":
+                assert section["residual"] == "0", section["name"]
+            else:
+                assert isinstance(section["residual"], float), section["name"]
+                assert isinstance(section["details"]["tolerance"], float), section["name"]
+            assert section["pass"] is True, section["name"]
 
 
 def test_certificates_are_deterministic(tmp_path):
@@ -173,19 +175,41 @@ def test_intertwining_failure_turns_the_lattice_sections_red(monkeypatch):
     assert cert["overall_pass"] is False
     by_name = _sections_by_name(cert)
     assert list(by_name) == SECTION_ORDER
-    lattice_readers = [f"condition-{letter}" for letter in "abcde"]
-    lattice_readers += ["lattice-intertwining", "isometry", "canonicalize-orbit"]
+    lattice_readers = ["condition-c", "lattice-intertwining", "isometry", "canonicalize-orbit"]
     for name in lattice_readers:
         assert by_name[name]["pass"] is False
         assert by_name[name]["details"]["failures"] == [
-            by_name["condition-a"]["details"]["failures"][0]
+            by_name["condition-c"]["details"]["failures"][0]
         ]
         assert "intertwining identity fails" in by_name[name]["details"]["failures"][0]
-    # these sections draw nothing at random, so they match the untampered run
+    # conditions A, B, D and E read L alone, and these sections draw nothing
+    # at random, so they match the untampered run
     for name in ("eigenbasis", "omega-table", "holonomy", "geodesic-witness"):
         assert by_name[name] == untampered[name]
+    for letter in "abde":
+        assert by_name[f"condition-{letter}"] == untampered[f"condition-{letter}"]
     # curvature takes the draws the failed isometry section left, and passes
     assert by_name["curvature"]["pass"] is True
+
+
+def test_eigen_weight_failure_fails_eigenbasis_and_condition_b(monkeypatch):
+    # eigenbasis and condition-b both read the one integer eigen-weight check
+    model = build_model(standard_family(3), p=3)
+    untampered = _sections_by_name(build_certificate(model, samples=1, seed=0))
+    calls = []
+
+    def failing_eigencheck(model):
+        calls.append(model)
+        return False
+
+    monkeypatch.setattr(cli, "ct_eigencheck_exact", failing_eigencheck)
+    by_name = _sections_by_name(build_certificate(model, samples=1, seed=0))
+    assert len(calls) == 1
+    for name in ("eigenbasis", "condition-b"):
+        assert by_name.pop(name)["details"]["failures"] == ["integer eigen-weight check failed"]
+    assert by_name == {
+        name: s for name, s in untampered.items() if name not in ("eigenbasis", "condition-b")
+    }
 
 
 def test_a_crash_fails_only_its_own_section(monkeypatch):

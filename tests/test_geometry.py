@@ -8,8 +8,6 @@ closed forms are the oracles here; the finite-difference engine has to
 reproduce them without being told.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -389,21 +387,20 @@ def test_geodesic_rejects_bad_start():
         geodesic_trace(PATCH, (-1.0, 0.0, np.zeros(MODEL.m)), np.ones(MODEL.n))
 
 
-# -- report serialization --------------------------------------------------------------
+# -- curvature report ------------------------------------------------------------------
 
 
-def test_report_serializes():
+def test_curvature_report_fields():
     rep = curvature_at(PATCH, POINT)
-    data = rep.to_json_dict()
-    encoded = json.loads(json.dumps(data))
-    assert encoded["olszak_dimension"] == 2
-    assert encoded["norm_weyl"] == pytest.approx(2.0, rel=1e-9)
-    assert set(encoded["symmetry_residuals"]) == {
+    assert rep.olszak_dimension == 2
+    assert rep.norm_weyl == pytest.approx(2.0, rel=1e-9)
+    assert set(rep.symmetry_residuals) == {
         "antisymmetry_first_pair",
         "antisymmetry_second_pair",
         "pair_interchange",
         "first_bianchi",
         "weyl_trace_free",
     }
-    assert encoded["point"]["v"] == [0.4, -0.2, 0.9]
-    assert encoded["step"] == pytest.approx(1e-4)
+    assert rep.point[:2] == POINT[:2]
+    assert list(rep.point[2]) == [0.4, -0.2, 0.9]
+    assert rep.step == pytest.approx(1e-4)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecsforge.cli import canonical_json
+from ecsforge.cli import B_BOUND, CONDITION_BOUND, canonical_json
 from ecsforge.funcspace import ct_eigenbasis, omega
 from ecsforge.model import build_model
 from ecsforge.quotient import (
@@ -611,29 +611,25 @@ def test_normal_form_acts_like_the_word(word):
 
 
 def test_certify_ace_all_pass():
-    sections = certify_ace(MODEL, L, SIGMA)
-    assert [s["name"][0] for s in sections] == ["A", "B", "C", "D", "E"]
-    for section in sections:
-        assert section["pass"], section
-    by_name = {s["name"]: s for s in sections}
-    for letter in ("A-subspace-dimension", "C-lattice-preserved", "D-omega-vanishes"):
-        assert by_name[letter]["kind"] == "exact"
-        assert by_name[letter]["residual"] == "0"
-    assert by_name["B-ct-invariance"]["residual"] == "0"
-    assert by_name["D-omega-vanishes"]["details"]["numeric_max"] < 1e-10
-    assert by_name["E-evaluation-isomorphism"]["kind"] == "numeric"
-    assert by_name["E-evaluation-isomorphism"]["residual"] < 1e8
+    ace = certify_ace(MODEL, L)
+    assert ace["dimension_ok"]
+    assert ace["b_residual"] <= B_BOUND
+    assert ace["d_exact"]
+    assert ace["d_numeric_max"] < 1e-10
+    assert ace["e_min_diagonal"] > 0
+    assert ace["e_max_condition"] <= CONDITION_BOUND
 
 
 def test_certify_ace_flags_non_lagrangian_subspace():
     # slots 1 and 6 pair (1 + 6 = 2m + 1), and slots 1, 2 share a component
     # slot, so D and E must both fail while A still counts dimensions
     bad = LagrangianL((1, 2, 6), (BASIS[0], BASIS[1], BASIS[5]))
-    sections = {s["name"]: s for s in certify_ace(MODEL, bad, SIGMA)}
-    assert sections["A-subspace-dimension"]["pass"]
-    assert not sections["D-omega-vanishes"]["pass"]
-    assert sections["D-omega-vanishes"]["details"]["numeric_max"] > 1.0
-    assert not sections["E-evaluation-isomorphism"]["pass"]
+    ace = certify_ace(MODEL, bad)
+    assert ace["dimension_ok"]
+    assert not ace["d_exact"]
+    assert ace["d_numeric_max"] > 1.0
+    assert ace["e_min_diagonal"] <= 0
+    assert not ace["e_max_condition"] <= CONDITION_BOUND
 
 
 # ---------------------------------------------------------------------------
