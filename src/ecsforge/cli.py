@@ -146,7 +146,6 @@ def cmd_generate(args) -> int:
 
 def _exact_section(failures: Sequence[str], details) -> dict:
     return {
-        "kind": "exact",
         "pass": not failures,
         "residual": "0" if not failures else None,
         "details": details if not failures else {"failures": list(failures), **details},
@@ -157,7 +156,6 @@ def _numeric_section(residual: float, tolerance: float, details, *, holds: bool)
     """A numeric section passes when its residual is within tolerance and
     its extra pass condition `holds`."""
     return {
-        "kind": "numeric",
         "pass": bool(residual <= tolerance and holds),
         "residual": float(residual),
         "details": {"tolerance": tolerance, **details},
@@ -166,7 +164,6 @@ def _numeric_section(residual: float, tolerance: float, details, *, holds: bool)
 
 def _failed_section(message: str) -> dict:
     return {
-        "kind": "exact",
         "pass": False,
         "residual": None,
         "details": {"failures": [message]},
@@ -338,13 +335,12 @@ def _condition_b(run: _Run) -> dict:
     # CT-invariance of L is the eigen-equation of each basis member; for the
     # power law the integer eigen-weight check proves it
     residual = run.ace["b_residual"]
-    details = {"numeric_residual": residual}
     if not run.homogeneous:
-        return _numeric_section(residual, B_BOUND, details, holds=True)
+        return _numeric_section(residual, B_BOUND, {}, holds=True)
     failures = [] if run.eigen_exact else ["integer eigen-weight check failed"]
     if residual > B_BOUND:
         failures.append(f"numeric residual {residual:.3e} above {B_BOUND:g}")
-    return _exact_section(failures, details)
+    return _exact_section(failures, {"numeric_residual": residual})
 
 
 def _condition_c(run: _Run) -> dict:
@@ -370,11 +366,7 @@ def _condition_e(run: _Run) -> dict:
     return _numeric_section(
         ace["e_max_condition"],
         CONDITION_BOUND,
-        {
-            "min_diagonal": ace["e_min_diagonal"],
-            "max_condition": ace["e_max_condition"],
-            "points": EVALUATION_POINTS,
-        },
+        {"min_diagonal": ace["e_min_diagonal"], "points": EVALUATION_POINTS},
         holds=ace["e_min_diagonal"] > 0,
     )
 
@@ -386,19 +378,19 @@ def _lattice_intertwining(run: _Run) -> dict:
 def _isometry(run: _Run) -> dict:
     rng, samples, patch = run.rng, run.samples, run.patch
     sigma, gamma_hat = run.sigma, run.gamma_hat
+
+    def residual(element, point) -> float:
+        return isometry_residual(
+            patch, lambda x: act(element, x), point, jacobian=lambda x: act_jacobian(element, x)
+        )
+
     worst_iso = 0.0
     for _ in range(samples):
-        point = _random_point(rng, run.model.m)
-        worst_iso = max(
-            worst_iso,
-            isometry_residual(patch, lambda x: act(gamma_hat, x), point),
-        )
+        worst_iso = max(worst_iso, residual(gamma_hat, _random_point(rng, run.model.m)))
     # Lattice elements: intermediate pullback terms scale like the square of
     # the solution coefficients, and double precision resolves the identity
     # only while that square stays well below tol / eps.  Draw integer
-    # coordinates on the basis columns small enough to respect the cap, and
-    # contract with the closed-form Jacobian (differencing act() would lose
-    # eps * |s-image| / step, far above tol for any workable step).
+    # coordinates on the basis columns small enough to respect the cap.
     coeff_cap = 3e4
     support = sigma.log_phi().max(axis=0) <= math.log(coeff_cap)
     elements = [
@@ -408,15 +400,7 @@ def _isometry(run: _Run) -> dict:
     for element in elements:
         for _ in range(samples):
             point = _random_point(rng, run.model.m, (0.4, 1.2))
-            worst_iso = max(
-                worst_iso,
-                isometry_residual(
-                    patch,
-                    lambda x, e=element: act(e, x),
-                    point,
-                    jacobian=lambda x, e=element: act_jacobian(e, x),
-                ),
-            )
+            worst_iso = max(worst_iso, residual(element, point))
     return _numeric_section(
         worst_iso,
         run.tol["isometry"],
@@ -569,25 +553,28 @@ STRUCTURAL = 2
 
 
 def _section_table(homogeneous: bool) -> list:
-    """(name, section function) in certificate order; profile-transfer
-    exists only for a deformed profile."""
+    """(name, kind, section function) in certificate order.  The kind is
+    reported also when the section crashes or is not run.  profile-transfer
+    exists only for a deformed profile, and eigenbasis and condition-b are
+    exact only on the power law."""
+    profile_route = "exact" if homogeneous else "numeric"
     return [
-        ("spectral-axioms", _spectral_axioms),
-        ("model-identities", _model_identities),
-        *([] if homogeneous else [("profile-transfer", _profile_transfer)]),
-        ("eigenbasis", _eigenbasis),
-        ("omega-table", _omega_table),
-        ("condition-a", _condition_a),
-        ("condition-b", _condition_b),
-        ("condition-c", _condition_c),
-        ("condition-d", _condition_d),
-        ("condition-e", _condition_e),
-        ("lattice-intertwining", _lattice_intertwining),
-        ("isometry", _isometry),
-        ("curvature", _curvature),
-        ("canonicalize-orbit", _canonicalize_orbit),
-        ("holonomy", _holonomy),
-        ("geodesic-witness", _geodesic_witness),
+        ("spectral-axioms", "exact", _spectral_axioms),
+        ("model-identities", "exact", _model_identities),
+        *([] if homogeneous else [("profile-transfer", "numeric", _profile_transfer)]),
+        ("eigenbasis", profile_route, _eigenbasis),
+        ("omega-table", "numeric", _omega_table),
+        ("condition-a", "exact", _condition_a),
+        ("condition-b", profile_route, _condition_b),
+        ("condition-c", "exact", _condition_c),
+        ("condition-d", "exact", _condition_d),
+        ("condition-e", "numeric", _condition_e),
+        ("lattice-intertwining", "exact", _lattice_intertwining),
+        ("isometry", "numeric", _isometry),
+        ("curvature", "numeric", _curvature),
+        ("canonicalize-orbit", "numeric", _canonicalize_orbit),
+        ("holonomy", "exact", _holonomy),
+        ("geodesic-witness", "numeric", _geodesic_witness),
     ]
 
 
@@ -616,7 +603,7 @@ def build_certificate(
     run = _Run(model, samples, seed, tol)
     sections: list[dict] = []
     blocked = False
-    for index, (name, check) in enumerate(_section_table(run.homogeneous)):
+    for index, (name, kind, check) in enumerate(_section_table(run.homogeneous)):
         if blocked:
             result = _failed_section("not run: structural sections failed")
         else:
@@ -625,7 +612,7 @@ def build_certificate(
             except Exception as exc:
                 result = _failed_section(f"{type(exc).__name__}: {exc}")
             blocked = index < STRUCTURAL and not result["pass"]
-        sections.append({"name": name, **result})
+        sections.append({"name": name, "kind": kind, **result})
     return {
         "tool_version": TOOL,
         "inputs": {

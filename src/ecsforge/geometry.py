@@ -8,7 +8,7 @@ kappa, so finite differences enter only one level up: derivatives of the
 Christoffel field for the curvature tensor, and derivatives of curvature
 components for the parallelism checks.  Central differences are paired
 with one Richardson extrapolation step throughout, which pushes the
-truncation error below the rounding floor at the default steps.
+truncation error below the rounding floor at the module's two steps.
 
 Norms here are Frobenius norms of coordinate component arrays.  That is a
 chart convention, not an invariant — the metric's own quartic invariants
@@ -33,8 +33,6 @@ __all__ = [
     "CurvatureReport",
     "GeodesicReport",
     "curvature_at",
-    "nabla_weyl_residual",
-    "nabla_riemann_norm",
     "olszak_singular_values",
     "isometry_residual",
     "geodesic_trace",
@@ -90,33 +88,25 @@ class MetricPatch:
     # h and A are built once per patch and shared read-only: every
     # Christoffel evaluation needs both, several times over
     @cached_property
-    def _h(self) -> np.ndarray:
+    def h(self) -> np.ndarray:
         return _read_only(np.array(self.model.h_rows(), dtype=float))
 
     @cached_property
-    def _shift(self) -> np.ndarray:
+    def shift(self) -> np.ndarray:
         rows = self.shift_rows if self.shift_rows is not None else self.model.shift_rows()
         return _read_only(np.array(rows, dtype=float))
 
-    def h_matrix(self) -> np.ndarray:
-        return self._h
-
-    def shift_matrix(self) -> np.ndarray:
-        return self._shift
-
     def kappa(self, t: float, v: np.ndarray) -> float:
-        h = self.h_matrix()
-        base = self._profile().value(t) * float(v @ h @ v) + float(
-            (self.shift_matrix() @ v) @ h @ v
-        )
+        h = self.h
+        base = self._profile().value(t) * float(v @ h @ v) + float((self.shift @ v) @ h @ v)
         if self.kappa_factor is not None:
             base *= self.kappa_factor[0](t)
         return base
 
     def kappa_t(self, t: float, v: np.ndarray) -> float:
-        h = self.h_matrix()
+        h = self.h
         sigma = float(v @ h @ v)
-        shift_part = float((self.shift_matrix() @ v) @ h @ v)
+        shift_part = float((self.shift @ v) @ h @ v)
         f = self._profile()
         out = f.deriv(t) * sigma
         if self.kappa_factor is not None:
@@ -125,8 +115,7 @@ class MetricPatch:
         return out
 
     def kappa_grad(self, t: float, v: np.ndarray) -> np.ndarray:
-        h = self.h_matrix()
-        shift = self.shift_matrix()
+        h, shift = self.h, self.shift
         grad = 2.0 * self._profile().value(t) * (h @ v)
         grad = grad + shift.T @ (h @ v) + h @ (shift @ v)
         if self.kappa_factor is not None:
@@ -138,7 +127,7 @@ class MetricPatch:
         g = np.zeros((self.n, self.n))
         g[0, 0] = self.kappa(t, v)
         g[0, 1] = g[1, 0] = 0.5
-        g[2:, 2:] = self.h_matrix()
+        g[2:, 2:] = self.h
         return g
 
     def metric_inverse(self, x: np.ndarray) -> np.ndarray:
@@ -146,7 +135,7 @@ class MetricPatch:
         inv = np.zeros((self.n, self.n))
         inv[0, 1] = inv[1, 0] = 2.0
         inv[1, 1] = -4.0 * self.kappa(t, v)
-        inv[2:, 2:] = self.h_matrix()  # the anti-diagonal block squares to 1
+        inv[2:, 2:] = self.h  # the anti-diagonal block squares to 1
         return inv
 
     def christoffel(self, x: np.ndarray) -> np.ndarray:
@@ -160,7 +149,7 @@ class MetricPatch:
         gamma[1, 0, 0] = self.kappa_t(t, v)
         gamma[1, 0, 2:] = grad
         gamma[1, 2:, 0] = grad
-        gamma[2:, 0, 0] = -0.5 * (self.h_matrix() @ grad)
+        gamma[2:, 0, 0] = -0.5 * (self.h @ grad)
         return gamma
 
 
@@ -208,14 +197,21 @@ def _richardson_partials(
     return jets
 
 
-def _curvature_core(patch: MetricPatch, x: np.ndarray, step: float):
-    """(g, Gamma, Riemann_down, Ricci, scalar, Weyl) at one chart point."""
+# relative t-step and absolute v-step of the two differencing levels: the
+# Christoffel field into curvature, and curvature into its covariant
+# derivative
+CURVATURE_STEP = 1e-4
+DERIVATIVE_STEP = 1e-3
+
+
+def _curvature_core(patch: MetricPatch, x: np.ndarray):
+    """(g^-1, Gamma, Riemann_down, Ricci, scalar, Weyl) at one chart point."""
     n = patch.n
     g = patch.metric(x)
     g_inv = patch.metric_inverse(x)
     # jet[c, a, b, d] = d_c Gamma^a_{bd}
     gamma = patch.christoffel(x)
-    (jet,) = _richardson_partials(lambda y: (patch.christoffel(y),), x, step, (gamma,))
+    (jet,) = _richardson_partials(lambda y: (patch.christoffel(y),), x, CURVATURE_STEP, (gamma,))
     # R^a_{bcd} = d_c G^a_{db} - d_d G^a_{cb} + G^a_{ce} G^e_{db} - G^a_{de} G^e_{cb}
     riemann_up = (
         np.einsum("cadb->abcd", jet)
@@ -240,7 +236,7 @@ def _curvature_core(patch: MetricPatch, x: np.ndarray, step: float):
         / ((n - 1) * (n - 2))
         * (np.einsum("ac,bd->abcd", g, g) - np.einsum("ad,bc->abcd", g, g))
     )
-    return g, g_inv, gamma, riemann, ricci, scalar, weyl
+    return g_inv, gamma, riemann, ricci, scalar, weyl
 
 
 def _symmetry_residuals(g_inv, riemann, weyl) -> dict:
@@ -280,36 +276,16 @@ class CurvatureReport:
     olszak_dimension: int
     olszak_singulars: tuple[float, ...]
     symmetry_residuals: dict
-    step: float
-    derivative_step: float
 
 
-def _weyl(core):
-    return core[6]
-
-
-def _riemann(core):
-    return core[3]
-
-
-def curvature_at(
-    patch: MetricPatch,
-    point,
-    step: float = 1e-4,
-    derivative_step: float = 1e-3,
-) -> CurvatureReport:
+def curvature_at(patch: MetricPatch, point) -> CurvatureReport:
     """Full curvature workup at one point: tensors, norms, parallelism
     residuals, and the null-distribution dimension."""
     x = _as_array(point)
     if x[0] <= 0:
         raise ValueError("the chart requires t > 0")
-    core = _curvature_core(patch, x, step)
-    g, g_inv, gamma, riemann, ricci, scalar, weyl = core
-    norm_r = float(np.linalg.norm(riemann))
-    norm_w = float(np.linalg.norm(weyl))
-    nabla_w, nabla_r = _covariant_norms(
-        patch, x, core, (_weyl, _riemann), step, derivative_step
-    )
+    g_inv, gamma, riemann, ricci, scalar, weyl = _curvature_core(patch, x)
+    nabla_w, nabla_r = _covariant_norms(patch, x, gamma, weyl, riemann)
     dim, singulars = olszak_singular_values(weyl)
     return CurvatureReport(
         point=point,
@@ -317,44 +293,34 @@ def curvature_at(
         ricci=ricci,
         scalar=scalar,
         weyl=weyl,
-        norm_riemann=norm_r,
-        norm_weyl=norm_w,
+        norm_riemann=float(np.linalg.norm(riemann)),
+        norm_weyl=float(np.linalg.norm(weyl)),
         norm_nabla_weyl=nabla_w,
         norm_nabla_riemann=nabla_r,
         olszak_dimension=dim,
         olszak_singulars=singulars,
         symmetry_residuals=_symmetry_residuals(g_inv, riemann, weyl),
-        step=step,
-        derivative_step=derivative_step,
     )
 
 
 def _covariant_norms(
-    patch: MetricPatch,
-    x: np.ndarray,
-    base_core: tuple,
-    extractors: Sequence[Callable],
-    step: float,
-    derivative_step: float,
+    patch: MetricPatch, x: np.ndarray, gamma: np.ndarray, weyl: np.ndarray, riemann: np.ndarray
 ) -> list[float]:
-    """Frobenius norms of the covariant derivatives of rank-4 tensor fields,
-    each given as a selector from the curvature core; `base_core` is the
-    core at x itself.
+    """Frobenius norms of nabla W and nabla R, given Gamma, W and R at x.
 
-    The partial-derivative part differences the components with
-    `_richardson_partials`; each offset core is computed once and serves
-    every selector.  The connection corrections close the covariant
+    The partial-derivative part differences both fields with
+    `_richardson_partials`; each offset curvature core is computed once and
+    serves both.  The connection corrections close the covariant
     derivative.  No Christoffel symbol carries a lower s index, so the
     s-slot of the derivative is identically zero.
     """
-    tensors = [extract(base_core) for extract in extractors]
 
-    def selected(y: np.ndarray) -> list[np.ndarray]:
-        core = _curvature_core(patch, y, step)
-        return [extract(core) for extract in extractors]
+    def fields(y: np.ndarray) -> tuple:
+        _, _, riemann_y, _, _, weyl_y = _curvature_core(patch, y)
+        return weyl_y, riemann_y
 
-    partials = _richardson_partials(selected, x, derivative_step, tensors)
-    gamma = base_core[2]
+    tensors = (weyl, riemann)
+    partials = _richardson_partials(fields, x, DERIVATIVE_STEP, tensors)
     norms = []
     for partial, tensor in zip(partials, tensors):
         nabla = (
@@ -368,51 +334,9 @@ def _covariant_norms(
     return norms
 
 
-def _relative_covariant_norm(
-    patch: MetricPatch,
-    point,
-    extract: Callable,
-    step: float,
-    derivative_step: float,
-) -> tuple[float, float]:
-    """(|nabla T|, |T|) for one selector T of the curvature core."""
-    x = _as_array(point)
-    core = _curvature_core(patch, x, step)
-    (nabla,) = _covariant_norms(patch, x, core, (extract,), step, derivative_step)
-    return nabla, float(np.linalg.norm(extract(core)))
-
-
-def nabla_weyl_residual(
-    patch: MetricPatch,
-    point,
-    step: float = 1e-4,
-    derivative_step: float = 1e-3,
-) -> float:
-    """|nabla W| / |W| at the point; raises when W vanishes there."""
-    nabla, norm = _relative_covariant_norm(patch, point, _weyl, step, derivative_step)
-    if norm < 1e-14:
-        raise ValueError("conformally flat at this point: |W| = 0")
-    return nabla / norm
-
-
-def nabla_riemann_norm(
-    patch: MetricPatch,
-    point,
-    step: float = 1e-4,
-    derivative_step: float = 1e-3,
-) -> float:
-    """|nabla R| / |R| at the point; raises when R vanishes there."""
-    nabla, norm = _relative_covariant_norm(patch, point, _riemann, step, derivative_step)
-    if norm < 1e-14:
-        raise ValueError("flat at this point: |R| = 0")
-    return nabla / norm
-
-
 # singular values below this fraction of the largest count as zero
 OLSZAK_THRESHOLD = 1e-7
 
-# relative central-difference step of isometry_residual's default Jacobian
-ISOMETRY_STEP = 1e-6
 # dense-output points at which geodesic_trace measures t's affinity
 GEODESIC_SAMPLES = 201
 
@@ -455,33 +379,21 @@ def olszak_singular_values(weyl: np.ndarray) -> tuple[int, tuple[float, ...]]:
 
 
 def isometry_residual(
-    patch: MetricPatch, mapping: Callable, point, jacobian: Callable | None = None
+    patch: MetricPatch, mapping: Callable, point, jacobian: Callable
 ) -> float:
     """Relative defect |phi* g - g| / |g| of a chart map at the point.
 
-    By default the Jacobian comes from central differences with a
-    per-coordinate relative step, which is fine while the image coordinates
-    stay moderate; differencing loses about eps * |phi(x)| / step in
-    absolute terms, so maps with huge image components need `jacobian`
-    (a callable point -> (n, n) array of d(image_a)/d(x_c)) supplying the
-    derivative in closed form.  Either way the pullback contracts the
-    Jacobian against the metric at the image point.
+    `jacobian` (a callable point -> (n, n) array of d(image_a)/d(x_c))
+    supplies the map's derivative in closed form: differencing the map
+    would lose about eps * |phi(x)| / step, and lattice elements have
+    huge image components.  The pullback contracts the Jacobian against
+    the metric at the image point.
     """
     x = _as_array(point)
     n = patch.n
-    if jacobian is not None:
-        jac = np.asarray(jacobian(_as_point(x)), dtype=float)
-        if jac.shape != (n, n):
-            raise ValueError(f"jacobian must return an ({n}, {n}) array")
-    else:
-        jac = np.zeros((n, n))
-        for c in range(n):
-            h = ISOMETRY_STEP * max(1.0, abs(x[c]))
-            offset = np.zeros(n)
-            offset[c] = h
-            plus = _as_array(mapping(_as_point(x + offset)))
-            minus = _as_array(mapping(_as_point(x - offset)))
-            jac[:, c] = (plus - minus) / (2 * h)
+    jac = np.asarray(jacobian(_as_point(x)), dtype=float)
+    if jac.shape != (n, n):
+        raise ValueError(f"jacobian must return an ({n}, {n}) array")
     image = _as_array(mapping(_as_point(x)))
     if image[0] <= 0:
         raise ValueError("the image leaves the chart (t <= 0)")

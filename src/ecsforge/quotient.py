@@ -357,18 +357,12 @@ class LatticeSigma:
     # lattice and kept on the instance, so they live exactly as long as it.
 
     @cached_property
-    def _phi_float(self) -> np.ndarray:
+    def phi_float(self) -> np.ndarray:
         return _read_only_float(self.basis_matrix)
 
     @cached_property
-    def _phi_inv_float(self) -> np.ndarray:
-        return _read_only_float(self.basis_matrix_inverse)
-
-    def phi_float(self) -> np.ndarray:
-        return self._phi_float
-
     def phi_inv_float(self) -> np.ndarray:
-        return self._phi_inv_float
+        return _read_only_float(self.basis_matrix_inverse)
 
     def log_phi(self) -> np.ndarray:
         """log Phi_ij = y_i j log q, rows in the order of Y: read from the
@@ -380,7 +374,7 @@ class LatticeSigma:
         """log10(|Phi|_F |Phi^-1|_F eps), the loss of a float round trip
         through the cell: a log-sum-exp over log Phi_ij**2, and the float
         Phi^-1, which exists at every n, scaled by its largest entry."""
-        inv = self.phi_inv_float()
+        inv = self.phi_inv_float
         top = float(np.max(np.abs(inv)))
         log_norms = 0.5 * np.logaddexp.reduce(2.0 * self.log_phi(), axis=None) + math.log(top)
         log_norms += math.log(float(np.linalg.norm(inv / top)))
@@ -403,17 +397,6 @@ class LatticeSigma:
                 )
             )
         return tuple(rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.model.p,
-            "index_set": list(self.index_set),
-            "y_exponents": list(self.y_exponents),
-            "xi": [list(row) for row in self.xi],
-            "basis_matrix": [
-                [entry.to_json_dict() for entry in row] for row in self.basis_matrix
-            ],
-        }
 
 
 def build_lattice(model: ModelData, pi) -> LatticeSigma:
@@ -653,13 +636,13 @@ def fundamental_coordinates(
     v = np.asarray(v, dtype=float)
     coeffs = np.linalg.solve(lagrangian.evaluation_matrix(t), v)
     z = float(s + sigma.model.inner(_slope(lagrangian, coeffs, t), v))
-    return t, sigma.phi_inv_float() @ np.concatenate(([z], coeffs))
+    return t, sigma.phi_inv_float @ np.concatenate(([z], coeffs))
 
 
 def point_from_coordinates(t: float, w, sigma: LatticeSigma, lagrangian: LagrangianL) -> tuple:
     """The point (t, s, v) with fundamental coordinates (t, w), through the
     float Phi: the inverse of `fundamental_coordinates`."""
-    reduced = sigma.phi_float() @ w
+    reduced = sigma.phi_float @ w
     z, coeffs = float(reduced[0]), reduced[1:]
     v = lagrangian.evaluation_matrix(t) @ coeffs
     return (t, float(z - sigma.model.inner(_slope(lagrangian, coeffs, t), v)), v)

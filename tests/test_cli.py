@@ -182,6 +182,13 @@ def test_intertwining_failure_turns_the_lattice_sections_red(monkeypatch):
             by_name["condition-c"]["details"]["failures"][0]
         ]
         assert "intertwining identity fails" in by_name[name]["details"]["failures"][0]
+    # a crashed section keeps its kind
+    assert {name: by_name[name]["kind"] for name in lattice_readers} == {
+        "condition-c": "exact",
+        "lattice-intertwining": "exact",
+        "isometry": "numeric",
+        "canonicalize-orbit": "numeric",
+    }
     # conditions A, B, D and E read L alone, and these sections draw nothing
     # at random, so they match the untampered run
     for name in ("eigenbasis", "omega-table", "holonomy", "geodesic-witness"):
@@ -230,6 +237,23 @@ def test_a_crash_fails_only_its_own_section(monkeypatch):
         "details": {"failures": ["RuntimeError: holonomy unavailable"]},
     }
     assert by_name == {name: s for name, s in untampered.items() if name != "holonomy"}
+
+
+def test_isometry_contracts_a_closed_form_jacobian_for_every_element(monkeypatch):
+    # gamma-hat at `samples` points, then `samples` lattice elements at
+    # `samples` points each: every residual contracts act_jacobian
+    calls = []
+    real_act_jacobian = cli.act_jacobian
+
+    def counted(element, point):
+        calls.append(element)
+        return real_act_jacobian(element, point)
+
+    monkeypatch.setattr(cli, "act_jacobian", counted)
+    samples = 3
+    cert = build_certificate(build_model(standard_family(3), p=3), samples=samples, seed=0)
+    assert _sections_by_name(cert)["isometry"]["pass"] is True
+    assert len(calls) == samples + samples**2
 
 
 def canonicalize_orbit(cert):
@@ -298,8 +322,9 @@ def test_tampered_spectrum_fails_the_spectral_section(tmp_path):
     by_name = {s["name"]: s for s in cert["sections"]}
     assert by_name["spectral-axioms"]["pass"] is False
     assert by_name["spectral-axioms"]["details"]["failures"]
-    # downstream sections are reported, not run
+    # downstream sections are reported, not run, each with its own kind
     assert by_name["curvature"]["pass"] is False
+    assert by_name["curvature"]["kind"] == "numeric"
     assert "not run" in by_name["curvature"]["details"]["failures"][0]
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecsforge import geometry
 from ecsforge.exact import QFieldContext
 from ecsforge.funcspace import ct_eigenbasis
 from ecsforge.geometry import (
@@ -21,8 +22,6 @@ from ecsforge.geometry import (
     curvature_at,
     geodesic_trace,
     isometry_residual,
-    nabla_riemann_norm,
-    nabla_weyl_residual,
 )
 from ecsforge.model import build_model, kappa
 from ecsforge.quotient import (
@@ -174,25 +173,19 @@ def test_weyl_parallel_on_family():
     for _ in range(5):
         t = float(np.exp(rng.uniform(-np.log(Q), np.log(Q))))
         v = rng.uniform(-1.0, 1.0, MODEL.m)
-        assert nabla_weyl_residual(PATCH, (t, 0.0, v)) < 1e-5
+        rep = curvature_at(PATCH, (t, 0.0, v))
+        assert rep.norm_nabla_weyl / rep.norm_weyl < 1e-5
 
 
 def test_weyl_parallel_larger_model():
-    assert nabla_weyl_residual(PATCH7, POINT7) < 1e-5
+    rep = curvature_at(PATCH7, POINT7)
+    assert rep.norm_nabla_weyl / rep.norm_weyl < 1e-5
 
 
 def test_riemann_not_parallel():
-    assert nabla_riemann_norm(PATCH, POINT) > 1e-3
-    assert nabla_riemann_norm(PATCH7, POINT7) > 1e-3
-
-
-@pytest.mark.parametrize("patch, point", [(PATCH, POINT), (PATCH7, POINT7)], ids=["n5", "n7"])
-def test_curvature_pass_matches_single_field_residuals(patch, point):
-    # curvature_at differences W and R in one pass; the single-field entry
-    # points difference one each, and the results must agree to the bit
-    rep = curvature_at(patch, point)
-    assert rep.norm_nabla_weyl / rep.norm_weyl == nabla_weyl_residual(patch, point)
-    assert rep.norm_nabla_riemann / rep.norm_riemann == nabla_riemann_norm(patch, point)
+    for patch, point in ((PATCH, POINT), (PATCH7, POINT7)):
+        rep = curvature_at(patch, point)
+        assert rep.norm_nabla_riemann / rep.norm_riemann > 1e-3
 
 
 @pytest.mark.parametrize(
@@ -218,20 +211,23 @@ def test_curvature_pass_christoffel_count(monkeypatch, patch, point, calls):
 
 def test_patch_matrices_are_built_once_and_read_only():
     patch = MetricPatch(MODEL)
-    assert patch.h_matrix() is patch.h_matrix()
-    assert patch.shift_matrix() is patch.shift_matrix()
-    assert np.array_equal(patch.h_matrix(), np.array(MODEL.h_rows(), dtype=float))
-    assert np.array_equal(patch.shift_matrix(), np.array(MODEL.shift_rows(), dtype=float))
+    assert patch.h is patch.h
+    assert patch.shift is patch.shift
+    assert np.array_equal(patch.h, np.array(MODEL.h_rows(), dtype=float))
+    assert np.array_equal(patch.shift, np.array(MODEL.shift_rows(), dtype=float))
     with pytest.raises(ValueError):
-        patch.h_matrix()[0, 0] = 1.0
+        patch.h[0, 0] = 1.0
     with pytest.raises(ValueError):
-        patch.shift_matrix()[0, 0] = 1.0
+        patch.shift[0, 0] = 1.0
 
 
-def test_residual_stable_under_step_halving():
-    a = nabla_weyl_residual(PATCH, POINT, derivative_step=1e-3)
-    b = nabla_weyl_residual(PATCH, POINT, derivative_step=5e-4)
-    assert a < 1e-5 and b < 1e-5
+def test_residual_stable_under_step_halving(monkeypatch):
+    a = curvature_at(PATCH, POINT)
+    monkeypatch.setattr(geometry, "DERIVATIVE_STEP", geometry.DERIVATIVE_STEP / 2)
+    b = curvature_at(PATCH, POINT)
+    assert a.norm_nabla_weyl != b.norm_nabla_weyl
+    assert a.norm_nabla_weyl / a.norm_weyl < 1e-5
+    assert b.norm_nabla_weyl / b.norm_weyl < 1e-5
 
 
 def test_symmetric_control():
@@ -240,14 +236,6 @@ def test_symmetric_control():
     assert rep.norm_riemann > 1.0
     assert rep.norm_weyl < 1e-12          # pure-trace curvature: conformally flat
     assert rep.norm_nabla_riemann < 1e-9  # locally symmetric
-    with pytest.raises(ValueError):
-        nabla_weyl_residual(patch, POINT)
-
-
-def test_flat_control_raises_on_ratios():
-    patch = flat_patch(MODEL)
-    with pytest.raises(ValueError):
-        nabla_riemann_norm(patch, POINT)
 
 
 def test_perturbed_metric_is_flagged():
@@ -256,10 +244,11 @@ def test_perturbed_metric_is_flagged():
     # law, which also pins it strictly below s itself.
     t = POINT[0]
     for slope in (0.01, 0.02):
-        res = nabla_weyl_residual(perturbed_patch(MODEL, slope), POINT)
+        rep = curvature_at(perturbed_patch(MODEL, slope), POINT)
+        res = rep.norm_nabla_weyl / rep.norm_weyl
         assert res == pytest.approx(slope / (1.0 + slope * t), rel=1e-3)
         assert res > 5e-3
-    assert nabla_weyl_residual(perturbed_patch(MODEL, 0.02), POINT) > 1e-2
+    assert res > 1e-2  # res is the 2% tilt's
 
 
 # -- the null parallel distribution ---------------------------------------------
@@ -299,17 +288,23 @@ def test_scaling_generator_is_isometry():
     rng = np.random.default_rng(5)
     for _ in range(4):
         pt = (rng.uniform(0.5, 2.0), rng.uniform(-1, 1), rng.uniform(-1, 1, MODEL.m))
-        assert isometry_residual(PATCH, lambda x: act(gh, x), pt) < 1e-6
+        residual = isometry_residual(
+            PATCH, lambda x: act(gh, x), pt, jacobian=lambda x: act_jacobian(gh, x)
+        )
+        assert residual < 1e-6
 
 
 def test_function_space_element_is_isometry():
     basis = ct_eigenbasis(MODEL)
     element = HElement(MODEL, 0.0, basis[0])
-    assert isometry_residual(PATCH, lambda x: act(element, x), POINT) < 1e-6
+    residual = isometry_residual(
+        PATCH, lambda x: act(element, x), POINT, jacobian=lambda x: act_jacobian(element, x)
+    )
+    assert residual < 1e-6
 
 
-def test_supplied_jacobian_beats_differencing_at_scale():
-    # coefficients ~2 q**9 put the s-image near 1e8: differencing loses
+def test_closed_form_jacobian_holds_at_scale():
+    # coefficients ~2 q**9 put the s-image near 1e8: differencing would lose
     # eps * |s| / step there, the closed-form Jacobian does not
     basis = ct_eigenbasis(MODEL)
     lagrangian = build_lagrangian(MODEL, basis)
@@ -323,16 +318,12 @@ def test_supplied_jacobian_beats_differencing_at_scale():
         pt,
         jacobian=lambda x: act_jacobian(element, x),
     )
-    differenced = isometry_residual(PATCH, lambda x: act(element, x), pt)
     assert exact < 1e-7
-    assert differenced > 1e-5
 
 
 def test_jacobian_shape_is_checked():
     with pytest.raises(ValueError):
-        isometry_residual(
-            PATCH, lambda x: x, POINT, jacobian=lambda x: np.eye(2)
-        )
+        isometry_residual(PATCH, lambda x: x, POINT, jacobian=lambda x: np.eye(2))
 
 
 def test_broken_map_is_flagged():
@@ -342,7 +333,12 @@ def test_broken_map_is_flagged():
         t, s, v = act(gh, pt)
         return (t, 1.01 * s, v)
 
-    assert isometry_residual(PATCH, broken, POINT) > 1e-3
+    def broken_jacobian(pt):
+        jac = act_jacobian(gh, pt)
+        jac[1] *= 1.01
+        return jac
+
+    assert isometry_residual(PATCH, broken, POINT, jacobian=broken_jacobian) > 1e-3
 
 
 def test_isometry_rejects_chart_exit():
@@ -350,7 +346,9 @@ def test_isometry_rejects_chart_exit():
         return (pt[0] - 2.0, pt[1], pt[2])
 
     with pytest.raises(ValueError):
-        isometry_residual(PATCH, escape, (1.0, 0.0, np.zeros(MODEL.m)))
+        isometry_residual(
+            PATCH, escape, (1.0, 0.0, np.zeros(MODEL.m)), jacobian=lambda x: np.eye(MODEL.n)
+        )
 
 
 # -- geodesics ----------------------------------------------------------------------
@@ -403,4 +401,3 @@ def test_curvature_report_fields():
     }
     assert rep.point[:2] == POINT[:2]
     assert list(rep.point[2]) == [0.4, -0.2, 0.9]
-    assert rep.step == pytest.approx(1e-4)

@@ -327,23 +327,14 @@ def test_lattice_column_of_zero_and_unit_coordinates():
 
 def test_float_phi_is_cached_read_only():
     for cached, exact in (
-        (SIGMA.phi_float(), SIGMA.basis_matrix),
-        (SIGMA.phi_inv_float(), SIGMA.basis_matrix_inverse),
+        (SIGMA.phi_float, SIGMA.basis_matrix),
+        (SIGMA.phi_inv_float, SIGMA.basis_matrix_inverse),
     ):
         assert np.array_equal(cached, [[float(e) for e in row] for row in exact])
         with pytest.raises(ValueError):
             cached[0, 0] = 0.0
-    assert SIGMA.phi_float() is SIGMA.phi_float()
-    assert SIGMA.phi_inv_float() is SIGMA.phi_inv_float()
-
-
-def test_lattice_serialization_layout():
-    data = SIGMA.to_json_dict()
-    assert data["p"] == 3
-    assert data["index_set"] == [1, 4, 5]
-    assert data["xi"] == [list(row) for row in FROZEN_XI]
-    entry = data["basis_matrix"][0][0]
-    assert set(entry) == {"a_num", "a_den", "b_num", "b_den"}
+    assert SIGMA.phi_float is SIGMA.phi_float
+    assert SIGMA.phi_inv_float is SIGMA.phi_inv_float
 
 
 def test_lattice_element_first_basis_vector():
@@ -735,7 +726,7 @@ def test_phi_magnitudes_are_read_from_the_exponents_on_all_models():
         condition = sigma.log10_cell_condition()
         assert np.all(np.isfinite(log_max)) and math.isfinite(condition), (r, p)
         try:
-            phi = sigma.phi_float()
+            phi = sigma.phi_float
         except OverflowError:
             continue
         representable += 1
@@ -745,7 +736,7 @@ def test_phi_magnitudes_are_read_from_the_exponents_on_all_models():
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(phi))
         if math.isfinite(norm):
-            direct = norm * float(np.linalg.norm(sigma.phi_inv_float())) * eps
+            direct = norm * float(np.linalg.norm(sigma.phi_inv_float)) * eps
             assert condition == pytest.approx(math.log10(direct), abs=1e-9), (r, p)
     assert representable == 28
 
