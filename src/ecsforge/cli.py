@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -47,6 +49,7 @@ from .model import (
     build_model,
     check_model,
     conjugation_checks,
+    curvature_identities,
     isometry_checks,
     load_model_lenient,
 )
@@ -96,6 +99,10 @@ DEFAULT_TOLERANCES = {
 B_BOUND = 1e-7
 D_BOUND = 1e-8
 CONDITION_BOUND = 1e8
+
+# on the power law, curvature_at cross-checks the integer curvature
+# identities up to this dimension; above it they alone decide the section
+CURVATURE_CROSS_CHECK_MAX_N = 7
 
 # canonicalize-orbit draws tau in [-1, 2) and w in [-2, 2)**(m+1) over this
 # denominator; its float cross-check needs this gap to every cell face
@@ -168,6 +175,16 @@ def _failed_section(message: str) -> dict:
         "residual": None,
         "details": {"failures": [message]},
     }
+
+
+def _raised_at(exc: Exception) -> str:
+    """`module.py:line` of the innermost traceback frame inside this
+    package, by file name only, so the bytes do not depend on the
+    checkout."""
+    package = os.path.dirname(__file__)
+    frames = traceback.extract_tb(exc.__traceback__)
+    frame = [f for f in frames if os.path.dirname(f.filename) == package][-1]
+    return f"{os.path.basename(frame.filename)}:{frame.lineno}"
 
 
 def _random_point(rng, m: int, t_range=(0.5, 2.2)):
@@ -414,15 +431,16 @@ def _isometry(run: _Run) -> dict:
     )
 
 
-def _curvature(run: _Run) -> dict:
+def _curvature_workup(run: _Run, points) -> tuple[float, dict]:
+    """`curvature_at` at each point: the worst |nabla W|/|W| and the
+    measurements the numeric curvature route reports."""
     tol = run.tol
     failures = []
     worst_nabla_w = 0.0
     worst_symmetry = 0.0
     min_nabla_r = float("inf")
     olszak_dims = []
-    for _ in range(run.samples):
-        point = _random_point(run.rng, run.model.m)
+    for point in points:
         report = curvature_at(run.patch, point)
         if report.norm_weyl <= 0:
             failures.append(f"|W| = 0 at t = {point[0]:.4f}")
@@ -431,21 +449,57 @@ def _curvature(run: _Run) -> dict:
         min_nabla_r = min(min_nabla_r, report.norm_nabla_riemann / report.norm_riemann)
         worst_symmetry = max(worst_symmetry, max(report.symmetry_residuals.values()))
         olszak_dims.append(report.olszak_dimension)
-    return _numeric_section(
-        worst_nabla_w,
-        tol["curvature_nabla_weyl"],
-        {
-            "nabla_riemann_min": min_nabla_r,
-            "nabla_riemann_floor": tol["curvature_nabla_riemann_min"],
-            "symmetry_worst": worst_symmetry,
-            "olszak_dimensions": olszak_dims,
-            "failures": failures,
-        },
-        holds=not failures
-        and min_nabla_r >= tol["curvature_nabla_riemann_min"]
-        and worst_symmetry <= tol["curvature_symmetry"]
-        and all(d == 2 for d in olszak_dims),
-    )
+    return worst_nabla_w, {
+        "nabla_riemann_min": min_nabla_r,
+        "nabla_riemann_floor": tol["curvature_nabla_riemann_min"],
+        "symmetry_worst": worst_symmetry,
+        "olszak_dimensions": olszak_dims,
+        "failures": failures,
+    }
+
+
+def _curvature_misses(run: _Run, worst_nabla_w: float, measured: dict) -> list[str]:
+    """Every bound the finite-difference workup misses."""
+    tol = run.tol
+    misses = list(measured["failures"])
+    if not worst_nabla_w <= tol["curvature_nabla_weyl"]:
+        misses.append(f"|nabla W|/|W| = {worst_nabla_w:.3e} above {tol['curvature_nabla_weyl']:g}")
+    if not measured["nabla_riemann_min"] >= tol["curvature_nabla_riemann_min"]:
+        misses.append(
+            f"|nabla R|/|R| = {measured['nabla_riemann_min']:.3e} "
+            f"below {tol['curvature_nabla_riemann_min']:g}"
+        )
+    if not measured["symmetry_worst"] <= tol["curvature_symmetry"]:
+        misses.append(
+            f"symmetry residual {measured['symmetry_worst']:.3e} "
+            f"above {tol['curvature_symmetry']:g}"
+        )
+    if any(d != 2 for d in measured["olszak_dimensions"]):
+        misses.append(f"Olszak dimensions {measured['olszak_dimensions']}, not all 2")
+    return misses
+
+
+def _curvature(run: _Run) -> dict:
+    # every route takes the same draws, so later sections see one stream
+    points = [_random_point(run.rng, run.model.m) for _ in range(run.samples)]
+    if not run.homogeneous:
+        worst_nabla_w, measured = _curvature_workup(run, points)
+        return _numeric_section(
+            worst_nabla_w,
+            run.tol["curvature_nabla_weyl"],
+            measured,
+            holds=not _curvature_misses(run, worst_nabla_w, measured),
+        )
+    identities = curvature_identities(run.model)
+    failures = [f"{name} failed" for name, ok in identities.items() if not ok]
+    cross_check: dict = {"points": 0}
+    if run.model.n <= CURVATURE_CROSS_CHECK_MAX_N:
+        worst_nabla_w, measured = _curvature_workup(run, points)
+        misses = _curvature_misses(run, worst_nabla_w, measured)
+        failures += [f"finite differences: {miss}" for miss in misses]
+        del measured["failures"]
+        cross_check = {"points": len(points), "nabla_weyl_worst": worst_nabla_w, **measured}
+    return _exact_section(failures, {**identities, "cross_check": cross_check})
 
 
 def _canonicalize_orbit(run: _Run) -> dict:
@@ -555,8 +609,8 @@ STRUCTURAL = 2
 def _section_table(homogeneous: bool) -> list:
     """(name, kind, section function) in certificate order.  The kind is
     reported also when the section crashes or is not run.  profile-transfer
-    exists only for a deformed profile, and eigenbasis and condition-b are
-    exact only on the power law."""
+    exists only for a deformed profile, and eigenbasis, condition-b and
+    curvature are exact only on the power law."""
     profile_route = "exact" if homogeneous else "numeric"
     return [
         ("spectral-axioms", "exact", _spectral_axioms),
@@ -571,7 +625,7 @@ def _section_table(homogeneous: bool) -> list:
         ("condition-e", "numeric", _condition_e),
         ("lattice-intertwining", "exact", _lattice_intertwining),
         ("isometry", "numeric", _isometry),
-        ("curvature", "numeric", _curvature),
+        ("curvature", profile_route, _curvature),
         ("canonicalize-orbit", "numeric", _canonicalize_orbit),
         ("holonomy", "exact", _holonomy),
         ("geodesic-witness", "numeric", _geodesic_witness),
@@ -592,7 +646,8 @@ def build_certificate(
     emitted JSON is reproducible byte for byte.  When a structural section
     fails, every later section is reported as not run (and failing).  A
     section that raises, or reads a shared object whose build raised,
-    fails with that exception's message; every other section runs.
+    fails with that exception's message and the file and line inside this
+    package where it was raised; every other section runs.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -610,7 +665,7 @@ def build_certificate(
             try:
                 result = check(run)
             except Exception as exc:
-                result = _failed_section(f"{type(exc).__name__}: {exc}")
+                result = _failed_section(f"{type(exc).__name__}: {exc} @ {_raised_at(exc)}")
             blocked = index < STRUCTURAL and not result["pass"]
         sections.append({"name": name, "kind": kind, **result})
     return {

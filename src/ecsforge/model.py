@@ -31,6 +31,7 @@ __all__ = [
     "kappa",
     "bridging_checks",
     "conjugation_checks",
+    "curvature_identities",
     "isometry_checks",
     "load_model_lenient",
     "PROFILE_DECODERS",
@@ -311,6 +312,77 @@ def isometry_checks(model: ModelData) -> dict[str, bool]:
         for i, j, v in _nonzero_entries(model.h_rows())
     )
     return {"exponent_route": exponent_route, "field_route": field_route}
+
+
+def curvature_identities(model: ModelData) -> dict[str, bool]:
+    """The power-law curvature claims as integer identities.
+
+    The metric is g = kappa dt**2 + dt ds + h(dv, dv) with h = `h_rows()`,
+    A = `shift_rows()` and kappa = f(t) v^T h v + v^T A^T h v.  kappa is
+    quadratic in v, so its v-Hessian H = f (h + h^T) + S, S = h A + A^T h,
+    does not depend on v, and the only curvature block is
+    R_titj = -H_ij / 2 (with its four index placements).  The Ricci tensor
+    is rho dt**2 with rho = g^ij R_itjt = -tr(h^-1 H) / 2, the scalar
+    curvature is 0 (g^tt = 0), and the Weyl block is
+    W_titj = -H_ij / 2 - rho h_ij / m = f W1 + W0, where, once h is
+    symmetric with h**2 = 1 (so h^-1 = h),
+
+        W1 = -h + tr(h h) / m * h,    W0 = -S / 2 + tr(h S) / (2 m) * h.
+
+    Each flag below is decided coefficientwise in integers:
+
+    * weyl_parallel: h is symmetric, h**2 = 1 and W1 = 0, so W = W0 is
+      constant, d_t W = f' W1 = 0 and d_v W = 0.  Nothing depends on s and
+      g^{t.} = 2 delta^._s, so Gamma^t = 0, and the only Christoffel symbol
+      with an upper v index is Gamma^i_tt.  W has no s component, so the
+      Gamma^s terms of nabla_e W_abcd vanish, and a Gamma^i_tt term needs
+      e = t and a t in the slot it replaces; W is nonzero only with one t
+      in each pair, so that pair is (t, t), where the two terms
+      Gamma^i_tt (W_itcd + W_ticd) cancel by antisymmetry.  So nabla W = 0.
+    * weyl_trace_free: tr(h S) = 0, so W's only block is -S / 2.
+    * weyl_nonzero: S != 0, so W != 0 and the metric is not conformally
+      flat.
+    * olszak_rank_two: rank S = 1.  The 2-forms W(e_a, e_b, ., .) are
+      multiples of dt ^ (S_i. dv), so xi ^ W(e_a, e_b, ., .) = 0 for all
+      a, b exactly on span(dt, S_m. dv): the Olszak distribution has rank
+      exactly 2 (rank 1 when rank S >= 2).
+    * not_locally_symmetric: by the same cancellation nabla R has the one
+      block nabla_t R_titj = -f' h_ij, and the power law's
+      f' = -(k**2 - 1) / (2 t**3) vanishes nowhere exactly when k**2 != 1.
+
+    Only the power-law profile carries the integer k these read; a
+    deformed profile has no exact route here.
+    """
+    if not isinstance(model.f, HomogeneousF):
+        raise ValueError("curvature identities are stated for the power-law profile")
+    m, k = model.m, model.f.k
+    h, shift = model.h_rows(), model.shift_rows()
+    cols = range(m)
+
+    def product(x, y):
+        return [[sum(x[i][l] * y[l][j] for l in cols) for j in cols] for i in cols]
+
+    h_h = product(h, h)
+    involution = all(h[i][j] == h[j][i] for i in cols for j in cols) and h_h == [
+        [int(i == j) for j in cols] for i in cols
+    ]
+    m_w1 = [[(sum(h_h[i][i] for i in cols) - m) * v for v in row] for row in h]  # m * W1
+    h_a = product(h, shift)
+    s = [[h_a[i][j] + h_a[j][i] for j in cols] for i in cols]  # (h A)^T = A^T h
+    nonzero = [(i, j) for i in cols for j in cols if s[i][j]]
+    # rank S = 1: S != 0, and every 2x2 minor through its first nonzero
+    # entry (i0, j0) vanishes, so every row is a multiple of row i0
+    rank_one = False
+    if nonzero:
+        i0, j0 = nonzero[0]
+        rank_one = all(s[i][j] * s[i0][j0] == s[i][j0] * s[i0][j] for i in cols for j in cols)
+    return {
+        "weyl_parallel": involution and not any(any(row) for row in m_w1),
+        "weyl_trace_free": sum(h[i][j] * s[j][i] for i in cols for j in cols) == 0,
+        "weyl_nonzero": bool(nonzero),
+        "olszak_rank_two": rank_one,
+        "not_locally_symmetric": involution and k * k != 1,
+    }
 
 
 def bridging_checks(model: ModelData) -> dict[str, bool]:

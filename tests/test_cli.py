@@ -8,16 +8,20 @@ seed.  The heavier numeric sections are exercised with small sample counts;
 their numerical depth is covered by the module tests.
 """
 
+import dataclasses
+import inspect
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ecsforge import cli
+from ecsforge import cli, quotient
 from ecsforge.cli import DEFAULT_TOLERANCES, build_certificate, canonical_json, main
 from ecsforge.deform import PerturbationF0, solve_a
 from ecsforge.exact import QFieldContext
-from ecsforge.model import ModelData, build_model
+from ecsforge.geometry import MetricPatch, curvature_at
+from ecsforge.model import HomogeneousF, ModelData, build_model
 from ecsforge.quotient import HAT, xi_power
 from ecsforge.spectral import standard_family
 
@@ -158,6 +162,13 @@ def _sections_by_name(cert):
     return {s["name"]: s for s in cert["sections"]}
 
 
+def _line_of(function, text):
+    """`module.py:line` of the first line of `function` that holds `text`."""
+    lines, start = inspect.getsourcelines(function)
+    offset = next(i for i, line in enumerate(lines) if text in line)
+    return f"{Path(inspect.getsourcefile(function)).name}:{start + offset}"
+
+
 def test_intertwining_failure_turns_the_lattice_sections_red(monkeypatch):
     # Pi Phi = Phi Xi is checked once, when build_lattice runs; a Pi that
     # breaks it fails every section that reads the lattice, and no other
@@ -182,6 +193,9 @@ def test_intertwining_failure_turns_the_lattice_sections_red(monkeypatch):
             by_name["condition-c"]["details"]["failures"][0]
         ]
         assert "intertwining identity fails" in by_name[name]["details"]["failures"][0]
+    # the crash names the raise inside the package, by file name only
+    raised_at = _line_of(quotient.build_lattice, "intertwining identity fails")
+    assert by_name["condition-c"]["details"]["failures"][0].endswith(f" @ {raised_at}")
     # a crashed section keeps its kind
     assert {name: by_name[name]["kind"] for name in lattice_readers} == {
         "condition-c": "exact",
@@ -234,7 +248,12 @@ def test_a_crash_fails_only_its_own_section(monkeypatch):
         "kind": "exact",
         "pass": False,
         "residual": None,
-        "details": {"failures": ["RuntimeError: holonomy unavailable"]},
+        "details": {
+            "failures": [
+                "RuntimeError: holonomy unavailable @ "
+                + _line_of(cli._holonomy, "holonomy_scaling(")
+            ]
+        },
     }
     assert by_name == {name: s for name, s in untampered.items() if name != "holonomy"}
 
@@ -254,6 +273,119 @@ def test_isometry_contracts_a_closed_form_jacobian_for_every_element(monkeypatch
     cert = build_certificate(build_model(standard_family(3), p=3), samples=samples, seed=0)
     assert _sections_by_name(cert)["isometry"]["pass"] is True
     assert len(calls) == samples + samples**2
+
+
+POWER_LAW_GRID = [(n, p) for n in range(5, 27, 2) for p in (3, 4, 5)]
+
+
+def _curvature_section(model, samples=5, seed=0):
+    run = cli._Run(model, samples, seed, DEFAULT_TOLERANCES)
+    return cli._curvature(run), run
+
+
+def _counted_curvature_at(monkeypatch):
+    calls = []
+    real_curvature_at = cli.curvature_at
+
+    def counted(patch, point):
+        calls.append(point)
+        return real_curvature_at(patch, point)
+
+    monkeypatch.setattr(cli, "curvature_at", counted)
+    return calls
+
+
+def test_curvature_section_is_exact_on_every_power_law_model(monkeypatch):
+    # the integer identities decide the section at every n; finite
+    # differences cross-check them at n <= 7 only
+    calls = _counted_curvature_at(monkeypatch)
+    for n, p in POWER_LAW_GRID:
+        del calls[:]
+        section, _ = _curvature_section(build_model(standard_family((n + 1) // 2), p=p))
+        assert section["pass"] is True, (n, p, section)
+        assert section["residual"] == "0"
+        expected = 5 if n <= 7 else 0
+        assert len(calls) == expected, (n, p)
+        assert section["details"]["cross_check"]["points"] == expected
+
+
+@pytest.mark.parametrize("n, p", [(5, 3), (9, 3)], ids=["5-3", "9-3"])
+def test_curvature_section_keeps_the_draw_stream(n, p):
+    # the section draws its `samples` points also where it does not
+    # difference, so every later section sees the same stream
+    samples = 5
+    _, run = _curvature_section(build_model(standard_family((n + 1) // 2), p=p), samples)
+    reference = np.random.default_rng(0)
+    for _ in range(samples):
+        cli._random_point(reference, n - 2)
+    assert run.rng.bit_generator.state == reference.bit_generator.state
+
+
+def _rank_two_shift(model):
+    m = model.m
+    return tuple(
+        tuple(int((i, j) in ((0, m - 1), (1, m - 2))) for j in range(m)) for i in range(m)
+    )
+
+
+def _unit_shift(model):
+    # A = E_11: S = h A + A^T h has h-trace 2 and rank 2
+    m = model.m
+    return tuple(tuple(int(i == j == 0) for j in range(m)) for i in range(m))
+
+
+# control -> (its shift rows, or None for the k = 1 profile; the identities
+# it fails at n = 5 and at n = 9)
+CURVATURE_CONTROLS = {
+    "rank-two-shift": (
+        _rank_two_shift,
+        {5: {"weyl_trace_free", "olszak_rank_two"}, 9: {"olszak_rank_two"}},
+    ),
+    "trace-shift": (
+        _unit_shift,
+        {5: {"weyl_trace_free", "olszak_rank_two"}, 9: {"weyl_trace_free", "olszak_rank_two"}},
+    ),
+    "k1-profile": (None, {5: {"not_locally_symmetric"}, 9: {"not_locally_symmetric"}}),
+    # A = 0: W = 0, the conformally flat control
+    "zero-shift": (
+        lambda model: ((0,) * model.m,) * model.m,
+        {5: {"weyl_nonzero", "olszak_rank_two"}, 9: {"weyl_nonzero", "olszak_rank_two"}},
+    ),
+}
+
+
+def _control_model(monkeypatch, n, control):
+    model = build_model(standard_family((n + 1) // 2), p=3)
+    shift, _ = CURVATURE_CONTROLS[control]
+    if shift is None:
+        # k**2 = 1: f == 0, so nabla R = 0
+        return dataclasses.replace(model, f=HomogeneousF(1))
+    rows = shift(model)
+    monkeypatch.setattr(ModelData, "shift_rows", lambda self: rows)
+    return model
+
+
+@pytest.mark.parametrize("control", sorted(CURVATURE_CONTROLS))
+@pytest.mark.parametrize("n", [5, 9])
+def test_curvature_section_fails_metrics_not_of_the_power_law_form(monkeypatch, n, control):
+    calls = _counted_curvature_at(monkeypatch)
+    model = _control_model(monkeypatch, n, control)
+    section, _ = _curvature_section(model)
+    assert section["pass"] is False
+    failed = {name for name, ok in section["details"].items() if ok is False}
+    assert failed == CURVATURE_CONTROLS[control][1][n]
+    if n > cli.CURVATURE_CROSS_CHECK_MAX_N:
+        assert calls == []
+        return
+    # the finite-difference cross-check flags the control on its own
+    assert len(calls) == 5
+    assert any(f.startswith("finite differences: ") for f in section["details"]["failures"])
+    report = curvature_at(MetricPatch(model), calls[0])
+    assert (
+        report.olszak_dimension != 2
+        or report.norm_nabla_riemann / report.norm_riemann
+        < DEFAULT_TOLERANCES["curvature_nabla_riemann_min"]
+    )
 
 
 def canonicalize_orbit(cert):
@@ -324,7 +456,7 @@ def test_tampered_spectrum_fails_the_spectral_section(tmp_path):
     assert by_name["spectral-axioms"]["details"]["failures"]
     # downstream sections are reported, not run, each with its own kind
     assert by_name["curvature"]["pass"] is False
-    assert by_name["curvature"]["kind"] == "numeric"
+    assert by_name["curvature"]["kind"] == "exact"
     assert "not run" in by_name["curvature"]["details"]["failures"][0]
 
 

@@ -23,7 +23,8 @@ from ecsforge.geometry import (
     geodesic_trace,
     isometry_residual,
 )
-from ecsforge.model import build_model, kappa
+from ecsforge.cli import DEFAULT_TOLERANCES
+from ecsforge.model import build_model, curvature_identities, kappa
 from ecsforge.quotient import (
     HElement,
     act,
@@ -274,6 +275,33 @@ def test_rank_two_shift_shrinks_distribution():
     rows[1][m - 2] = 1
     patch = MetricPatch(MODEL7, shift_rows=tuple(tuple(r) for r in rows))
     assert curvature_at(patch, POINT7).olszak_dimension == 1
+
+
+@pytest.mark.parametrize("n, p", [(9, 5), (11, 4), (13, 3)], ids=["9-5", "11-4", "13-3"])
+def test_finite_differences_agree_with_the_exact_curvature_statements(n, p):
+    # certify decides curvature by `curvature_identities` above n = 7; one
+    # seeded point per model ties those statements to the tensor that
+    # finite differences measure.  W's only block is -S/2, and its four
+    # index placements give |W| = |S| in the chart's Frobenius convention.
+    model = build_model(standard_family((n + 1) // 2), p=p)
+    assert all(curvature_identities(model).values())
+    h = np.array(model.h_rows(), dtype=float)
+    shift = np.array(model.shift_rows(), dtype=float)
+    norm_s = float(np.linalg.norm(h @ shift + shift.T @ h))
+    rng = np.random.default_rng(n)
+    point = (
+        float(rng.uniform(0.5, 2.2)),
+        float(rng.uniform(-1.0, 1.0)),
+        rng.uniform(-1.0, 1.0, n - 2),
+    )
+    report = curvature_at(MetricPatch(model), point)
+    assert report.norm_weyl == pytest.approx(norm_s, rel=1e-8)
+    assert report.norm_nabla_weyl / report.norm_weyl <= DEFAULT_TOLERANCES["curvature_nabla_weyl"]
+    assert (
+        report.norm_nabla_riemann / report.norm_riemann
+        >= DEFAULT_TOLERANCES["curvature_nabla_riemann_min"]
+    )
+    assert report.olszak_dimension == 2
 
 
 def test_degenerate_weyl_flags_full_dimension():
