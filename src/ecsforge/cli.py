@@ -59,10 +59,8 @@ from .quotient import (
     HAT_INV,
     act,
     act_jacobian,
-    act_power,
     build_lagrangian,
     build_lattice,
-    canonicalize,
     canonicalize_cell,
     certify_ace,
     holonomy_scaling,
@@ -70,7 +68,6 @@ from .quotient import (
     make_gamma_hat,
     normal_form,
     pi_map,
-    point_from_coordinates,
     xi_power,
 )
 from .spectral import search_systems, standard_family
@@ -86,7 +83,6 @@ DEFAULT_TOLERANCES = {
     "curvature_nabla_weyl": 1e-5,
     "curvature_nabla_riemann_min": 1e-3,
     "curvature_symmetry": 1e-9,
-    "canonicalize": 1e-8,
     "profile_trace": 1e-9,
     "geodesic_deviation": 1e-6,
     "geodesic_parameter": 1e-3,
@@ -100,14 +96,13 @@ B_BOUND = 1e-7
 D_BOUND = 1e-8
 CONDITION_BOUND = 1e8
 
-# on the power law, curvature_at cross-checks the integer curvature
-# identities up to this dimension; above it they alone decide the section
+# curvature_at cross-checks the exact curvature identities up to this
+# dimension; above it they alone decide the section
 CURVATURE_CROSS_CHECK_MAX_N = 7
 
 # canonicalize-orbit draws tau in [-1, 2) and w in [-2, 2)**(m+1) over this
-# denominator; its float cross-check needs this gap to every cell face
+# denominator
 CELL_DENOMINATOR = 4096
-FACE_GAP = Fraction(1, 1000)
 
 
 def canonical_json(data) -> str:
@@ -431,11 +426,11 @@ def _isometry(run: _Run) -> dict:
     )
 
 
-def _curvature_workup(run: _Run, points) -> tuple[float, dict]:
-    """`curvature_at` at each point: the worst |nabla W|/|W| and the
-    measurements the numeric curvature route reports."""
+def _curvature_cross_check(run: _Run, points) -> tuple[list[str], dict]:
+    """`curvature_at` at each point: every curvature bound the finite
+    differences miss, and what they measured."""
     tol = run.tol
-    failures = []
+    misses = []
     worst_nabla_w = 0.0
     worst_symmetry = 0.0
     min_nabla_r = float("inf")
@@ -443,62 +438,41 @@ def _curvature_workup(run: _Run, points) -> tuple[float, dict]:
     for point in points:
         report = curvature_at(run.patch, point)
         if report.norm_weyl <= 0:
-            failures.append(f"|W| = 0 at t = {point[0]:.4f}")
+            misses.append(f"|W| = 0 at t = {point[0]:.4f}")
             continue
         worst_nabla_w = max(worst_nabla_w, report.norm_nabla_weyl / report.norm_weyl)
         min_nabla_r = min(min_nabla_r, report.norm_nabla_riemann / report.norm_riemann)
         worst_symmetry = max(worst_symmetry, max(report.symmetry_residuals.values()))
         olszak_dims.append(report.olszak_dimension)
-    return worst_nabla_w, {
+    if not worst_nabla_w <= tol["curvature_nabla_weyl"]:
+        misses.append(f"|nabla W|/|W| = {worst_nabla_w:.3e} above {tol['curvature_nabla_weyl']:g}")
+    if not min_nabla_r >= tol["curvature_nabla_riemann_min"]:
+        misses.append(
+            f"|nabla R|/|R| = {min_nabla_r:.3e} below {tol['curvature_nabla_riemann_min']:g}"
+        )
+    if not worst_symmetry <= tol["curvature_symmetry"]:
+        misses.append(f"symmetry residual {worst_symmetry:.3e} above {tol['curvature_symmetry']:g}")
+    if any(d != 2 for d in olszak_dims):
+        misses.append(f"Olszak dimensions {olszak_dims}, not all 2")
+    return misses, {
+        "points": len(points),
+        "nabla_weyl_worst": worst_nabla_w,
         "nabla_riemann_min": min_nabla_r,
         "nabla_riemann_floor": tol["curvature_nabla_riemann_min"],
         "symmetry_worst": worst_symmetry,
         "olszak_dimensions": olszak_dims,
-        "failures": failures,
     }
 
 
-def _curvature_misses(run: _Run, worst_nabla_w: float, measured: dict) -> list[str]:
-    """Every bound the finite-difference workup misses."""
-    tol = run.tol
-    misses = list(measured["failures"])
-    if not worst_nabla_w <= tol["curvature_nabla_weyl"]:
-        misses.append(f"|nabla W|/|W| = {worst_nabla_w:.3e} above {tol['curvature_nabla_weyl']:g}")
-    if not measured["nabla_riemann_min"] >= tol["curvature_nabla_riemann_min"]:
-        misses.append(
-            f"|nabla R|/|R| = {measured['nabla_riemann_min']:.3e} "
-            f"below {tol['curvature_nabla_riemann_min']:g}"
-        )
-    if not measured["symmetry_worst"] <= tol["curvature_symmetry"]:
-        misses.append(
-            f"symmetry residual {measured['symmetry_worst']:.3e} "
-            f"above {tol['curvature_symmetry']:g}"
-        )
-    if any(d != 2 for d in measured["olszak_dimensions"]):
-        misses.append(f"Olszak dimensions {measured['olszak_dimensions']}, not all 2")
-    return misses
-
-
 def _curvature(run: _Run) -> dict:
-    # every route takes the same draws, so later sections see one stream
+    # the points are drawn at every n, so later sections see one stream
     points = [_random_point(run.rng, run.model.m) for _ in range(run.samples)]
-    if not run.homogeneous:
-        worst_nabla_w, measured = _curvature_workup(run, points)
-        return _numeric_section(
-            worst_nabla_w,
-            run.tol["curvature_nabla_weyl"],
-            measured,
-            holds=not _curvature_misses(run, worst_nabla_w, measured),
-        )
     identities = curvature_identities(run.model)
     failures = [f"{name} failed" for name, ok in identities.items() if not ok]
     cross_check: dict = {"points": 0}
     if run.model.n <= CURVATURE_CROSS_CHECK_MAX_N:
-        worst_nabla_w, measured = _curvature_workup(run, points)
-        misses = _curvature_misses(run, worst_nabla_w, measured)
+        misses, cross_check = _curvature_cross_check(run, points)
         failures += [f"finite differences: {miss}" for miss in misses]
-        del measured["failures"]
-        cross_check = {"points": len(points), "nabla_weyl_worst": worst_nabla_w, **measured}
     return _exact_section(failures, {**identities, "cross_check": cross_check})
 
 
@@ -506,23 +480,12 @@ def _canonicalize_orbit(run: _Run) -> dict:
     # Orbit invariance in exact cell coordinates: a point and its image
     # under g = Phi(c) hat**e reduce to one representative, and the words
     # Phi(shift_a) hat**ra and Phi(shift_b) hat**rb g name one element.
-    # Float canonicalize must find both words from the chart images where
-    # the cell is representable, the basis evaluates exactly and the faces
-    # are clear; the images reach 1e10, so the representative's value is
-    # checked at its own image.
-    rng, sigma, lagrangian = run.rng, run.sigma, run.lagrangian
+    rng, sigma = run.rng, run.sigma
 
     def _hats(count: int) -> list:
         return [HAT] * count if count >= 0 else [HAT_INV] * (-count)
 
-    def _chart(tau, w) -> tuple:
-        t = float(run.model.context().q) ** float(tau)
-        return point_from_coordinates(t, np.array(w, dtype=float), sigma, lagrangian)
-
-    log10_condition = sigma.log10_cell_condition()
-    rebuild_float = run.homogeneous and log10_condition + 2.0 < math.log10(run.tol["canonicalize"])
-    worst_canon, float_pairs = 0.0, 0
-    word_failures, cell_failures = [], []
+    failures = []
     den = CELL_DENOMINATOR
     for _ in range(run.samples):
         tau = Fraction(int(rng.integers(-den, 2 * den)), den)
@@ -533,37 +496,12 @@ def _canonicalize_orbit(run: _Run) -> dict:
         rep_a, word_a = canonicalize_cell(sigma, tau, w)
         rep_b, word_b = canonicalize_cell(sigma, tau + exponent, moved_w)
         if rep_a != rep_b:
-            cell_failures.append(f"representatives differ (hat power {exponent})")
+            failures.append(f"representatives differ (hat power {exponent})")
         left = normal_form(sigma, [word_a[1], *_hats(word_a[0])])
         right = normal_form(sigma, [word_b[1], *_hats(word_b[0]), coords, *_hats(exponent)])
         if left != right:
-            word_failures.append(f"words differ: {left} vs {right} (hat power {exponent})")
-        if not rebuild_float or min(min(x, 1 - x) for x in (rep_a[0], *rep_a[1])) < FACE_GAP:
-            continue
-        float_pairs += 1
-        point = _chart(tau, w)
-        moved = act_power(run.gamma_hat, point, exponent)
-        moved = act(lattice_element(sigma, coords, lagrangian), moved)
-        expected = _chart(*rep_a)
-        for probe, word in ((point, word_a), (moved, word_b), (expected, (0, (0,) * sigma.size))):
-            rep, float_word = canonicalize(probe, run.gamma_hat, sigma, lagrangian)
-            if float_word != word:
-                cell_failures.append(f"float canonicalize found {float_word}, not {word}")
-        # rep is now the float canonical form of the exact representative
-        worst_canon = max(worst_canon, float(np.max(np.abs(np.hstack(rep) - np.hstack(expected)))))
-    return _numeric_section(
-        worst_canon,
-        run.tol["canonicalize"],
-        {
-            "pairs": run.samples,
-            "redraws": 0,
-            "float_pairs": float_pairs,
-            "word_identity_failures": word_failures,
-            "cell_failures": cell_failures,
-            "log10_cell_condition": log10_condition,
-        },
-        holds=not word_failures and not cell_failures,
-    )
+            failures.append(f"words differ: {left} vs {right} (hat power {exponent})")
+    return _exact_section(failures, {"pairs": run.samples, "redraws": 0})
 
 
 def _holonomy(run: _Run) -> dict:
@@ -609,8 +547,9 @@ STRUCTURAL = 2
 def _section_table(homogeneous: bool) -> list:
     """(name, kind, section function) in certificate order.  The kind is
     reported also when the section crashes or is not run.  profile-transfer
-    exists only for a deformed profile, and eigenbasis, condition-b and
-    curvature are exact only on the power law."""
+    exists only for a deformed profile, and only eigenbasis and condition-b
+    change route with the profile: exact on the power law, numeric on a
+    deformed one."""
     profile_route = "exact" if homogeneous else "numeric"
     return [
         ("spectral-axioms", "exact", _spectral_axioms),
@@ -625,8 +564,8 @@ def _section_table(homogeneous: bool) -> list:
         ("condition-e", "numeric", _condition_e),
         ("lattice-intertwining", "exact", _lattice_intertwining),
         ("isometry", "numeric", _isometry),
-        ("curvature", profile_route, _curvature),
-        ("canonicalize-orbit", "numeric", _canonicalize_orbit),
+        ("curvature", "exact", _curvature),
+        ("canonicalize-orbit", "exact", _canonicalize_orbit),
         ("holonomy", "exact", _holonomy),
         ("geodesic-witness", "numeric", _geodesic_witness),
     ]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -163,6 +164,13 @@ class DeformedF:
     def deriv(self, t: float) -> float:
         base = -2.0 * (self.a_solved * self.a_solved - 0.25) / (t * t * t)
         return base + self.perturbation.fstar_deriv(t, self._log_q)
+
+    @property
+    def vanishes(self) -> bool:
+        """f == 0: t**2 f = a**2 - 1/4 + g is a constant plus distinct
+        Fourier modes, so it is 0 exactly when a**2 = 1/4, taken exactly
+        on the stored float, and every harmonic pair is (0, 0)."""
+        return Fraction(self.a_solved) ** 2 == Fraction(1, 4) and self.perturbation.is_zero
 
     def to_json_dict(self) -> dict:
         return {

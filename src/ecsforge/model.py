@@ -59,6 +59,11 @@ class HomogeneousF:
     def deriv(self, t):
         return -(self.k * self.k - 1) / (2.0 * t * t * t)
 
+    @property
+    def vanishes(self) -> bool:
+        """f == 0, decided on the integer k."""
+        return self.k * self.k == 1
+
     def to_json_dict(self) -> dict:
         return {"variant": "homogeneous", "k": self.k}
 
@@ -315,7 +320,7 @@ def isometry_checks(model: ModelData) -> dict[str, bool]:
 
 
 def curvature_identities(model: ModelData) -> dict[str, bool]:
-    """The power-law curvature claims as integer identities.
+    """The curvature claims as exact identities, for every profile.
 
     The metric is g = kappa dt**2 + dt ds + h(dv, dv) with h = `h_rows()`,
     A = `shift_rows()` and kappa = f(t) v^T h v + v^T A^T h v.  kappa is
@@ -329,7 +334,8 @@ def curvature_identities(model: ModelData) -> dict[str, bool]:
 
         W1 = -h + tr(h h) / m * h,    W0 = -S / 2 + tr(h S) / (2 m) * h.
 
-    Each flag below is decided coefficientwise in integers:
+    None of this reads f, so the first four flags are decided
+    coefficientwise in integers from h and A alone:
 
     * weyl_parallel: h is symmetric, h**2 = 1 and W1 = 0, so W = W0 is
       constant, d_t W = f' W1 = 0 and d_v W = 0.  Nothing depends on s and
@@ -347,15 +353,15 @@ def curvature_identities(model: ModelData) -> dict[str, bool]:
       a, b exactly on span(dt, S_m. dv): the Olszak distribution has rank
       exactly 2 (rank 1 when rank S >= 2).
     * not_locally_symmetric: by the same cancellation nabla R has the one
-      block nabla_t R_titj = -f' h_ij, and the power law's
-      f' = -(k**2 - 1) / (2 t**3) vanishes nowhere exactly when k**2 != 1.
-
-    Only the power-law profile carries the integer k these read; a
-    deformed profile has no exact route here.
+      block nabla_t R_titj = -f' h_ij, so the metric is locally symmetric
+      exactly when f' == 0.  Every profile has the form
+      f = t**-2 (c0 + g(log_q t)) with g a 1-periodic trigonometric
+      polynomial: c0 = (k**2 - 1) / 4 and g = 0 for the power law.  So
+      t**2 f is bounded and periodic in log_q t, a constant f with that
+      property is 0, and f' == 0 exactly when f == 0.  The profile's
+      `vanishes` decides that from its stored data, with no sampling.
     """
-    if not isinstance(model.f, HomogeneousF):
-        raise ValueError("curvature identities are stated for the power-law profile")
-    m, k = model.m, model.f.k
+    m = model.m
     h, shift = model.h_rows(), model.shift_rows()
     cols = range(m)
 
@@ -381,7 +387,7 @@ def curvature_identities(model: ModelData) -> dict[str, bool]:
         "weyl_trace_free": sum(h[i][j] * s[j][i] for i in cols for j in cols) == 0,
         "weyl_nonzero": bool(nonzero),
         "olszak_rank_two": rank_one,
-        "not_locally_symmetric": involution and k * k != 1,
+        "not_locally_symmetric": involution and not model.f.vanishes,
     }
 
 

@@ -370,16 +370,6 @@ class LatticeSigma:
         log_q = math.log(float(self.model.context().q))
         return log_q * np.outer(self.y_exponents, range(self.size))
 
-    def log10_cell_condition(self) -> float:
-        """log10(|Phi|_F |Phi^-1|_F eps), the loss of a float round trip
-        through the cell: a log-sum-exp over log Phi_ij**2, and the float
-        Phi^-1, which exists at every n, scaled by its largest entry."""
-        inv = self.phi_inv_float
-        top = float(np.max(np.abs(inv)))
-        log_norms = 0.5 * np.logaddexp.reduce(2.0 * self.log_phi(), axis=None) + math.log(top)
-        log_norms += math.log(float(np.linalg.norm(inv / top)))
-        return float(log_norms / math.log(10.0) + math.log10(np.finfo(float).eps))
-
     @cached_property
     def _integer_rows(self) -> tuple:
         """Each row of Phi as (a-numerators, b-numerators, denominator):

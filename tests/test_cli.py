@@ -18,10 +18,10 @@ import pytest
 
 from ecsforge import cli, quotient
 from ecsforge.cli import DEFAULT_TOLERANCES, build_certificate, canonical_json, main
-from ecsforge.deform import PerturbationF0, solve_a
+from ecsforge.deform import DeformedF, PerturbationF0, solve_a, target_trace_value
 from ecsforge.exact import QFieldContext
 from ecsforge.geometry import MetricPatch, curvature_at
-from ecsforge.model import HomogeneousF, ModelData, build_model
+from ecsforge.model import HomogeneousF, ModelData, build_model, curvature_identities
 from ecsforge.quotient import HAT, xi_power
 from ecsforge.spectral import standard_family
 
@@ -201,7 +201,7 @@ def test_intertwining_failure_turns_the_lattice_sections_red(monkeypatch):
         "condition-c": "exact",
         "lattice-intertwining": "exact",
         "isometry": "numeric",
-        "canonicalize-orbit": "numeric",
+        "canonicalize-orbit": "exact",
     }
     # conditions A, B, D and E read L alone, and these sections draw nothing
     # at random, so they match the untampered run
@@ -276,6 +276,8 @@ def test_isometry_contracts_a_closed_form_jacobian_for_every_element(monkeypatch
 
 
 POWER_LAW_GRID = [(n, p) for n in range(5, 27, 2) for p in (3, 4, 5)]
+DEFORMED_ROWS = [(n, 3) for n in (5, 7, 9, 15, 21, 25)]
+DEFORMED_PAIR = ((0.02, 0.01),)
 
 
 def _curvature_section(model, samples=5, seed=0):
@@ -295,17 +297,26 @@ def _counted_curvature_at(monkeypatch):
     return calls
 
 
-def test_curvature_section_is_exact_on_every_power_law_model(monkeypatch):
-    # the integer identities decide the section at every n; finite
-    # differences cross-check them at n <= 7 only
+def _deformed_model(n, p):
+    system = standard_family((n + 1) // 2)
+    profile = solve_a(PerturbationF0(DEFORMED_PAIR), system.k / 2.0, QFieldContext(p))
+    return build_model(system, p=p, f=profile)
+
+
+def test_curvature_section_is_exact_on_both_profiles(monkeypatch):
+    # the exact identities decide the section at every n, on the power law
+    # and on a deformed profile alike; finite differences cross-check them
+    # at n <= 7 only
     calls = _counted_curvature_at(monkeypatch)
-    for n, p in POWER_LAW_GRID:
+    models = [build_model(standard_family((n + 1) // 2), p=p) for n, p in POWER_LAW_GRID]
+    models += [_deformed_model(n, p) for n, p in DEFORMED_ROWS]
+    for model in models:
         del calls[:]
-        section, _ = _curvature_section(build_model(standard_family((n + 1) // 2), p=p))
-        assert section["pass"] is True, (n, p, section)
+        section, _ = _curvature_section(model)
+        assert section["pass"] is True, (model.n, model.p, model.f, section)
         assert section["residual"] == "0"
-        expected = 5 if n <= 7 else 0
-        assert len(calls) == expected, (n, p)
+        expected = 5 if model.n <= 7 else 0
+        assert len(calls) == expected, (model.n, model.p, model.f)
         assert section["details"]["cross_check"]["points"] == expected
 
 
@@ -334,21 +345,48 @@ def _unit_shift(model):
     return tuple(tuple(int(i == j == 0) for j in range(m)) for i in range(m))
 
 
-# control -> (its shift rows, or None for the k = 1 profile; the identities
-# it fails at n = 5 and at n = 9)
+def _deformed_profile(model, a, pairs):
+    # a profile solve_a cannot produce: a and the harmonic pairs are set
+    # directly, and the stored target trace is the power law's
+    c = model.k / 2.0
+    return DeformedF(
+        perturbation=PerturbationF0(pairs),
+        c=c,
+        a_solved=a,
+        target_trace=target_trace_value(c, model.context()),
+        p=model.p,
+    )
+
+
+# control -> (its shift rows or None, its profile or None; the identities it
+# fails at n = 5 and at n = 9)
 CURVATURE_CONTROLS = {
     "rank-two-shift": (
         _rank_two_shift,
+        None,
         {5: {"weyl_trace_free", "olszak_rank_two"}, 9: {"olszak_rank_two"}},
     ),
     "trace-shift": (
         _unit_shift,
+        None,
         {5: {"weyl_trace_free", "olszak_rank_two"}, 9: {"weyl_trace_free", "olszak_rank_two"}},
     ),
-    "k1-profile": (None, {5: {"not_locally_symmetric"}, 9: {"not_locally_symmetric"}}),
+    # k**2 = 1: f == 0, so nabla R = 0
+    "k1-profile": (
+        None,
+        lambda model: HomogeneousF(1),
+        {5: {"not_locally_symmetric"}, 9: {"not_locally_symmetric"}},
+    ),
+    # a = 1/2 and g == 0: the deformed f == 0
+    "flat-deformed-profile": (
+        None,
+        lambda model: _deformed_profile(model, 0.5, ()),
+        {5: {"not_locally_symmetric"}, 9: {"not_locally_symmetric"}},
+    ),
     # A = 0: W = 0, the conformally flat control
     "zero-shift": (
         lambda model: ((0,) * model.m,) * model.m,
+        None,
         {5: {"weyl_nonzero", "olszak_rank_two"}, 9: {"weyl_nonzero", "olszak_rank_two"}},
     ),
 }
@@ -356,10 +394,9 @@ CURVATURE_CONTROLS = {
 
 def _control_model(monkeypatch, n, control):
     model = build_model(standard_family((n + 1) // 2), p=3)
-    shift, _ = CURVATURE_CONTROLS[control]
-    if shift is None:
-        # k**2 = 1: f == 0, so nabla R = 0
-        return dataclasses.replace(model, f=HomogeneousF(1))
+    shift, profile, _ = CURVATURE_CONTROLS[control]
+    if profile is not None:
+        return dataclasses.replace(model, f=profile(model))
     rows = shift(model)
     monkeypatch.setattr(ModelData, "shift_rows", lambda self: rows)
     return model
@@ -373,7 +410,7 @@ def test_curvature_section_fails_metrics_not_of_the_power_law_form(monkeypatch, 
     section, _ = _curvature_section(model)
     assert section["pass"] is False
     failed = {name for name, ok in section["details"].items() if ok is False}
-    assert failed == CURVATURE_CONTROLS[control][1][n]
+    assert failed == CURVATURE_CONTROLS[control][2][n]
     if n > cli.CURVATURE_CROSS_CHECK_MAX_N:
         assert calls == []
         return
@@ -388,6 +425,21 @@ def test_curvature_section_fails_metrics_not_of_the_power_law_form(monkeypatch, 
     )
 
 
+@pytest.mark.parametrize("n", [5, 9])
+def test_deformed_profiles_that_do_not_vanish_are_not_locally_symmetric(n):
+    model = build_model(standard_family((n + 1) // 2), p=3)
+    # a = 1/2 and (A_1, B_1) = (0.02, 0): f'(1) = 0, yet f is not 0, so
+    # nabla R = -f' h does not vanish; a one-point witness at t = 1 would
+    # call this metric locally symmetric
+    critical = _deformed_profile(model, 0.5, ((0.02, 0.0),))
+    assert critical.deriv(1.0) == 0.0
+    assert critical.deriv(1.3) != 0.0
+    # g == 0 with a != 1/2: f is a nonzero power law
+    unperturbed = _deformed_profile(model, model.k / 2.0, ())
+    for profile in (critical, unperturbed):
+        assert all(curvature_identities(dataclasses.replace(model, f=profile)).values())
+
+
 def canonicalize_orbit(cert):
     return next(s for s in cert["sections"] if s["name"] == "canonicalize-orbit")
 
@@ -395,13 +447,11 @@ def canonicalize_orbit(cert):
 @pytest.mark.parametrize("n, p", [(7, 4), (9, 3)], ids=["7-4", "9-3"])
 def test_canonicalize_orbit_decides_every_pair(n, p):
     # the exact cell route rejects no draw, also where the float cell is
-    # far out of reach (the float cross-check then runs on no pair)
+    # far out of reach
     cert = build_certificate(build_model(standard_family((n + 1) // 2), p=p), samples=5, seed=0)
     section = canonicalize_orbit(cert)
-    assert section["pass"] is True
-    details = section["details"]
-    assert (details["pairs"], details["redraws"], details["float_pairs"]) == (5, 0, 0)
-    assert details["word_identity_failures"] == details["cell_failures"] == []
+    assert (section["kind"], section["pass"], section["residual"]) == ("exact", True, "0")
+    assert section["details"] == {"pairs": 5, "redraws": 0}
     json.dumps(cert, allow_nan=False)
 
 
@@ -421,24 +471,8 @@ def test_word_identity_failure_turns_canonicalize_orbit_red(monkeypatch):
     cert = build_certificate(build_model(standard_family(3), p=3), samples=5, seed=0)
     section = canonicalize_orbit(cert)
     assert section["pass"] is False
-    assert section["details"]["word_identity_failures"]
-    assert section["details"]["cell_failures"] == []
-
-
-def test_float_canonicalize_disagreement_turns_canonicalize_orbit_red(monkeypatch):
-    # the float cross-check must find the exact route's shift
-    real_canonicalize = cli.canonicalize
-
-    def off_by_one(point, gamma_hat, sigma, lagrangian):
-        rep, (r, shift) = real_canonicalize(point, gamma_hat, sigma, lagrangian)
-        return rep, (r, (shift[0] + 1, *shift[1:]))
-
-    monkeypatch.setattr(cli, "canonicalize", off_by_one)
-    cert = build_certificate(build_model(standard_family(3), p=3), samples=5, seed=0)
-    section = canonicalize_orbit(cert)
-    assert section["details"]["float_pairs"] == 5
-    assert section["pass"] is False
-    assert "float canonicalize found" in section["details"]["cell_failures"][0]
+    failures = section["details"]["failures"]
+    assert failures and all(f.startswith("words differ: ") for f in failures)
 
 
 def test_tampered_spectrum_fails_the_spectral_section(tmp_path):
@@ -510,9 +544,11 @@ def test_tol_override_can_force_a_failure(tmp_path):
 
 
 def test_unknown_tolerance_key_exits_2(tmp_path, capsys):
+    # canonicalize-orbit is exact, so "canonicalize" is no tolerance key
     out = generate(tmp_path)
-    assert main(["certify", str(out), "--tol-overrides", '{"bogus": 1}']) == 2
-    assert "unknown tolerance keys" in capsys.readouterr().err
+    for overrides in ('{"bogus": 1}', '{"canonicalize": 1e-8}'):
+        assert main(["certify", str(out), "--tol-overrides", overrides]) == 2
+        assert "unknown tolerance keys" in capsys.readouterr().err
 
 
 def test_malformed_tolerance_json_exits_2(tmp_path, capsys):

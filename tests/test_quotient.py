@@ -714,17 +714,15 @@ def test_free_action_spot_check():
 
 
 def test_phi_magnitudes_are_read_from_the_exponents_on_all_models():
-    # Phi_ij = q**(y_i j), so the column maxima and the cell condition need
-    # no float Phi, which overflows at 5 of the 33 models; where it exists
-    # they agree with it, and the isometry section's 3e4 column mask with it
+    # Phi_ij = q**(y_i j), so the column maxima need no float Phi, which
+    # overflows at 5 of the 33 models; where it exists they agree with it,
+    # and the isometry section's 3e4 column mask with it
     cap = 3e4
-    eps = np.finfo(float).eps
     representable = 0
     for r, p in ALL_MODELS:
         sigma = lattice_for(r, p)[0]
         log_max = sigma.log_phi().max(axis=0)
-        condition = sigma.log10_cell_condition()
-        assert np.all(np.isfinite(log_max)) and math.isfinite(condition), (r, p)
+        assert np.all(np.isfinite(log_max)), (r, p)
         try:
             phi = sigma.phi_float
         except OverflowError:
@@ -733,11 +731,6 @@ def test_phi_magnitudes_are_read_from_the_exponents_on_all_models():
         colmax = np.max(np.abs(phi), axis=0)
         assert np.array_equal(log_max <= math.log(cap), colmax <= cap), (r, p)
         assert np.allclose(log_max, np.log(colmax), rtol=1e-12, atol=1e-12), (r, p)
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(phi))
-        if math.isfinite(norm):
-            direct = norm * float(np.linalg.norm(sigma.phi_inv_float)) * eps
-            assert condition == pytest.approx(math.log10(direct), abs=1e-9), (r, p)
     assert representable == 28
 
 
