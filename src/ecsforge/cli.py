@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .deform import PerturbationF0, eig_positivity, solve_a, trace_H
+from .deform import PerturbationF0, eig_positivity, solve_a
 from .exact import QFieldContext, det_int
 from .funcspace import (
     ct_eigenbasis,
@@ -127,10 +127,18 @@ def cmd_generate(args) -> int:
     try:
         profile = None
         if args.deform_coeffs is not None:
-            pairs = json.loads(args.deform_coeffs)
-            perturbation = PerturbationF0(
-                tuple((float(p[0]), float(p[1])) for p in pairs)
-            )
+            # every JSON number parses as a float, so a pair is two floats
+            pairs = json.loads(args.deform_coeffs, parse_int=float)
+            if not isinstance(pairs, list) or not all(
+                isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(x, float) for x in pair)
+                for pair in pairs
+            ):
+                raise ValueError(
+                    f"--deform-coeffs {args.deform_coeffs} is not a JSON array of "
+                    "[A_j, B_j] number pairs"
+                )
+            perturbation = PerturbationF0(tuple(pairs))
             profile = solve_a(perturbation, system.k / 2.0, QFieldContext(args.p))
         model = build_model(system, p=args.p, eps=args.eps, f=profile)
     except (ValueError, json.JSONDecodeError) as exc:
@@ -281,14 +289,14 @@ def _model_identities(run: _Run) -> dict:
 
 
 def _profile_transfer(run: _Run) -> dict:
-    f, ctx = run.model.f, run.model.context()
+    f = run.model.f
     return _numeric_section(
-        abs(trace_H(f.perturbation, f.a_solved, ctx) - f.target_trace),
+        abs(float(np.trace(f.transfer_matrix)) - f.target_trace),
         run.tol["profile_trace"],
         {
             "a_solved": f.a_solved,
             "target_trace": f.target_trace,
-            "eigenfunctions_positive": bool(eig_positivity(f, ctx)),
+            "eigenfunctions_positive": bool(eig_positivity(f)),
         },
         holds=True,
     )
@@ -632,9 +640,17 @@ def cmd_certify(args) -> int:
     overrides = None
     if args.tol_overrides:
         try:
-            overrides = json.loads(args.tol_overrides)
+            overrides = json.loads(args.tol_overrides, parse_int=float)
         except json.JSONDecodeError as exc:
             print(f"bad --tol-overrides: {exc}", file=sys.stderr)
+            return 2
+        if not isinstance(overrides, dict) or not all(
+            isinstance(v, float) and math.isfinite(v) for v in overrides.values()
+        ):
+            print(
+                f"bad --tol-overrides: {args.tol_overrides} is not a JSON object of finite numbers",
+                file=sys.stderr,
+            )
             return 2
     try:
         certificate = build_certificate(

@@ -146,7 +146,8 @@ class DeformedF:
             raise ValueError(f"base exponent must be positive, got {self.a_solved}")
         if self.p < 3:
             raise ValueError(f"trace parameter p must be >= 3, got {self.p}")
-        object.__setattr__(self, "_log_q", math.log(float(QFieldContext(self.p).q)))
+        object.__setattr__(self, "_ctx", QFieldContext(self.p))
+        object.__setattr__(self, "_log_q", math.log(float(self._ctx.q)))
 
     @property
     def k(self) -> float:
@@ -171,6 +172,36 @@ class DeformedF:
         Fourier modes, so it is 0 exactly when a**2 = 1/4, taken exactly
         on the stored float, and every harmonic pair is (0, 0)."""
         return Fraction(self.a_solved) ** 2 == Fraction(1, 4) and self.perturbation.is_zero
+
+    @functools.cached_property
+    def transfer_matrix(self) -> np.ndarray:
+        """The matrix of T (`transfer_matrix_T`), integrated once per
+        profile instance; its trace is the profile's H(f*, a_solved)."""
+        return transfer_matrix_T(self, float(self._ctx.q))
+
+    @functools.cached_property
+    def eigenpair(self) -> tuple[OdeFn, OdeFn]:
+        """T's eigenfunctions (y+, y-) at q**(c - 1/2) and q**(-c - 1/2),
+        built once per profile instance: each start vector at t = 1 is the
+        null vector of T - lam I (its rows are parallel; the larger is used),
+        normalized to y(1) = 1 where possible.  Raises ValueError when T
+        lacks a target eigenvalue, as it does unless the trace is matched."""
+        matrix, vecs = self.transfer_matrix, []
+        for exp in (self.c - 0.5, -self.c - 0.5):
+            lam = math.exp(exp * self._log_q)
+            if exp.is_integer():  # a field element whenever 2c is an odd integer
+                lam = float(self._ctx.q_power(int(exp)))
+            rows = matrix - lam * np.eye(2)
+            row = rows[0] if np.linalg.norm(rows[0]) >= np.linalg.norm(rows[1]) else rows[1]
+            vec = np.array([row[1], -row[0]])
+            residual = np.linalg.norm(matrix @ vec - lam * vec)
+            if residual > 1e-8 * max(1.0, abs(lam)) * np.linalg.norm(vec):
+                raise ValueError(
+                    "profile does not have the requested transfer spectrum "
+                    f"(eigen-residual {residual:.3e} at exponent {exp:g})"
+                )
+            vecs.append(vec / (vec[0] if abs(vec[0]) > 1e-12 * np.linalg.norm(vec) else vec[1]))
+        return tuple(OdeFn(self, vec[0], vec[1]) for vec in vecs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -281,30 +312,18 @@ def _positive_on_grid(fn, lo: float, hi: float) -> bool:
 def eig_positivity(df: DeformedF, ctx: QFieldContext | None = None) -> bool:
     """Whether both T-eigenfunctions of the solved profile are positive.
 
-    The eigenvectors of the transfer matrix give initial conditions at
-    t = 1; each eigenfunction is sign-normalized to be positive there and
-    then sampled across one full period [1/q, q].  Positivity on a period
+    The pair is the profile's own `eigenpair`, normalized to y(1) = 1,
+    sampled across one full period [1/q, q].  Positivity on a period
     propagates to all of (0, oo) because the function rescales by a
-    positive eigenvalue under t -> t/q.
+    positive eigenvalue under t -> t/q.  Without the target eigenpair (a
+    complex pair, or a trace off target) there is no positive eigenbasis.
     """
-    if ctx is None:
-        ctx = QFieldContext(df.p)
-    q = float(ctx.q)
-    matrix = transfer_matrix_T(df, q)
-    eigvals, eigvecs = np.linalg.eig(matrix)
-    if np.max(np.abs(eigvals.imag)) > 1e-12 * np.max(np.abs(eigvals)):
-        return False  # complex pair: no real eigenbasis, let alone a positive one
-    for j in range(2):
-        vec = np.real(eigvecs[:, j])
-        value_at_one = vec[0]
-        if value_at_one == 0.0:
-            return False
-        if value_at_one < 0.0:
-            vec = -vec
-        fn = OdeFn(df, vec[0], vec[1])
-        if not _positive_on_grid(fn, 1.0 / q, q):
-            return False
-    return True
+    q = float((df._ctx if ctx is None else ctx).q)
+    try:
+        pair = df.eigenpair
+    except ValueError:
+        return False
+    return all(_positive_on_grid(fn, 1.0 / q, q) for fn in pair)
 
 
 def recovered_base(df: DeformedF) -> float:

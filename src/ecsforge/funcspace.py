@@ -267,11 +267,10 @@ def w_basis(model: ModelData):
     """The T-eigenbasis (y+, y-) of the scalar solution space.
 
     For the power-law profile these are the exact monomials t**((1 -+ k)/2)
-    with eigenvalues mu+- = q**((-1 +- k)/2).  For any other self-similar
-    profile the eigenvectors are extracted from the transfer matrix at the
-    same target eigenvalues — which exist precisely when the profile's trace
-    has been matched — and returned as integrated solutions normalized to
-    y(1) = 1 where possible.
+    with eigenvalues mu+- = q**((-1 +- k)/2).  A deformed profile supplies
+    its own integrated pair at the same target eigenvalues, which exist
+    precisely when its trace has been matched (`DeformedF.eigenpair`,
+    extracted once per profile from its one transfer matrix).
     """
     k = model.k
     if isinstance(model.f, HomogeneousF):
@@ -279,28 +278,7 @@ def w_basis(model: ModelData):
             MonomialFn(Fraction(1), Fraction(1 - k, 2)),
             MonomialFn(Fraction(1), Fraction(1 + k, 2)),
         )
-    ctx = model.context()
-    q = float(ctx.q)
-    matrix = transfer_matrix_T(model.f, q)
-    out = []
-    for exp in model.mu_exponents:
-        lam = float(ctx.q_power(exp))
-        # null vector of (M - lam I): rows are parallel, take the larger one
-        rows = matrix - lam * np.eye(2)
-        row = rows[0] if np.linalg.norm(rows[0]) >= np.linalg.norm(rows[1]) else rows[1]
-        vec = np.array([row[1], -row[0]])
-        residual = np.linalg.norm(matrix @ vec - lam * vec)
-        if residual > 1e-8 * max(1.0, abs(lam)) * np.linalg.norm(vec):
-            raise ValueError(
-                "profile does not have the requested transfer spectrum "
-                f"(eigen-residual {residual:.3e} at exponent {exp})"
-            )
-        if abs(vec[0]) > 1e-12 * np.linalg.norm(vec):
-            vec = vec / vec[0]
-        else:
-            vec = vec / vec[1]
-        out.append(OdeFn(model.f, vec[0], vec[1]))
-    return tuple(out)
+    return model.f.eigenpair
 
 
 def particular_solutions(model: ModelData, scalar_basis):

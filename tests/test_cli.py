@@ -85,6 +85,15 @@ def test_generate_rejects_dimension_below_five(tmp_path):
     assert main(["generate", "--n", "3", "--p", "3", "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("coeffs", ["[[0.1]]", "[1, 2]", "5", "[[null, 0.1]]", "{}", "nope"])
+def test_generate_rejects_malformed_deform_coeffs(tmp_path, capsys, coeffs):
+    out = tmp_path / "model.json"
+    argv = ["generate", "--n", "5", "--p", "3", "--deform-coeffs", coeffs, "--out", str(out)]
+    assert main(argv) == 1
+    assert "model construction failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_default_filename(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["generate", "--n", "5", "--p", "3"]) == 0
@@ -278,6 +287,49 @@ def test_isometry_contracts_a_closed_form_jacobian_for_every_element(monkeypatch
 POWER_LAW_GRID = [(n, p) for n in range(5, 27, 2) for p in (3, 4, 5)]
 DEFORMED_ROWS = [(n, 3) for n in (5, 7, 9, 15, 21, 25)]
 DEFORMED_PAIR = ((0.02, 0.01),)
+
+
+# The verdict grid: the failing sections of build_certificate(samples=5,
+# seed=0) on the power law, one row per p, one cell per n = 5, 7, ..., 25.
+# omega is omega-table, E condition-e and iso isometry; 12 of 33 are green.
+# A cell that changes colour, either way, fails the grid test until this
+# table changes with it.
+VERDICT_GRID = {
+    3: ["ok", "ok", "ok", "iso", "ok", "ok", "omega", "omega"] + ["omega E iso"] * 3,
+    4: ["ok", "ok", "ok", "ok", "omega"] + ["omega E"] * 3 + ["omega E iso"] * 3,
+    5: ["ok", "ok", "ok", "omega"] + ["omega E"] * 4 + ["omega E iso"] * 3,
+}
+GRID_CELLS = {"omega": "omega-table", "E": "condition-e", "iso": "isometry"}
+
+
+def _failing(cert):
+    failing = [s for s in cert["sections"] if not s["pass"]]
+    # every red cell is a measurement: no section raised or was skipped
+    assert all(s["residual"] is not None for s in failing), failing
+    return {s["name"] for s in failing}
+
+
+def test_power_law_verdict_grid_at_seed_0():
+    observed, expected = {}, {}
+    for p, row in VERDICT_GRID.items():
+        for n, cell in zip(range(5, 27, 2), row, strict=True):
+            model = build_model(standard_family((n + 1) // 2), p=p)
+            observed[n, p] = _failing(build_certificate(model, samples=5, seed=0))
+            expected[n, p] = {GRID_CELLS[c] for c in cell.split() if c != "ok"}
+    assert observed == expected
+    assert sum(not cell for cell in observed.values()) == 12
+
+
+def test_deformed_verdict_row_is_observed():
+    """Observational, not gating: the deformed p = 3 row with DEFORMED_PAIR,
+    n = 5..25, must certify every section without a crash, and its failing
+    sections are printed.  At seed 0 today: green at n = 5, 7, 9 and 13;
+    isometry at 11; eigenbasis at 15; eigenbasis and omega-table at 17 and
+    19; eigenbasis, omega-table, condition-e and isometry at 21 and 23; and
+    those four plus condition-b at 25."""
+    for n in range(5, 27, 2):
+        cert = build_certificate(_deformed_model(n, 3), samples=5, seed=0)
+        print(f"deformed ({n},3): {sorted(_failing(cert)) or 'green'}")
 
 
 def _curvature_section(model, samples=5, seed=0):
@@ -531,6 +583,33 @@ def test_deformed_model_flags_dilational_not_homogeneous(tmp_path):
     assert by_name["profile-transfer"]["pass"] is True
 
 
+# profile-transfer's residual at (5, 3) with DEFORMED_PAIR when a_solved is
+# nudged by delta, and whether T keeps its target eigenpair there
+NUDGED_TRANSFER = {
+    1e-9: (6.55337650812271e-09, True),
+    1e-6: (6.5533826738573e-06, False),
+    1e-3: (0.006556586684499877, False),
+}
+
+
+@pytest.mark.parametrize("delta", sorted(NUDGED_TRANSFER))
+def test_nudged_base_exponent_fails_profile_transfer_with_its_residual(delta):
+    # the trace is read off the transfer matrix the eigenbasis shares; a
+    # profile off its target spectrum fails profile-transfer with the
+    # measured residual instead of crashing, and has no positive eigenpair
+    # once the target eigenvalues are gone
+    model = _deformed_model(5, 3)
+    nudged = dataclasses.replace(model.f, a_solved=model.f.a_solved + delta)
+    cert = build_certificate(dataclasses.replace(model, f=nudged), samples=2, seed=0)
+    section = next(s for s in cert["sections"] if s["name"] == "profile-transfer")
+    residual, positive = NUDGED_TRANSFER[delta]
+    assert section["pass"] is False
+    assert section["residual"] == residual
+    assert section["details"]["eigenfunctions_positive"] is positive
+    assert section["details"]["a_solved"] == nudged.a_solved
+    assert cert["overall_pass"] is False
+
+
 def test_tol_override_can_force_a_failure(tmp_path):
     out = generate(tmp_path)
     code = main(
@@ -552,9 +631,18 @@ def test_unknown_tolerance_key_exits_2(tmp_path, capsys):
 
 
 def test_malformed_tolerance_json_exits_2(tmp_path, capsys):
+    # anything but a JSON object of finite numbers is a usage error, not a
+    # failing section (exit 1) or a list of unknown keys
     out = generate(tmp_path)
-    assert main(["certify", str(out), "--tol-overrides", "not json"]) == 2
-    assert "--tol-overrides" in capsys.readouterr().err
+    for overrides in (
+        "not json", "5", '"x"', "[]", '{"isometry": null}', '{"isometry": [1]}',
+        '{"isometry": NaN}', '{"isometry": true}',
+    ):
+        assert main(["certify", str(out), "--tol-overrides", overrides]) == 2, overrides
+        err = capsys.readouterr().err
+        assert "bad --tol-overrides" in err and "unknown" not in err, overrides
+    # an integer is a number
+    assert main(["certify", str(out), "--samples", "1", "--tol-overrides", '{"isometry": 1}']) == 0
 
 
 def test_build_certificate_rejects_unknown_keys_directly():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecsforge import deform, funcspace
+from ecsforge.cli import build_certificate
 from ecsforge.deform import (
     DeformedF,
     PerturbationF0,
@@ -256,7 +257,8 @@ def test_perturbation_vanishes_at_period_points():
 
 
 def test_positive_grid_rejects_negated_function():
-    # the raw grid check is sign-sensitive; eig_positivity normalizes first
+    # the raw grid check is sign-sensitive; eig_positivity reads the pair
+    # normalized to y(1) = 1
     assert _positive_on_grid(MonomialFn(1, -2), 1.0 / Q3, Q3)
     assert not _positive_on_grid(MonomialFn(-1, -2), 1.0 / Q3, Q3)
 
@@ -264,6 +266,9 @@ def test_positive_grid_rejects_negated_function():
 def test_eig_positivity_unperturbed_and_perturbed():
     assert eig_positivity(solve_a(ZERO, 2.5, CTX3))
     assert eig_positivity(solve_a(PerturbationF0(((0.05, 0.0),)), 2.5, CTX3))
+    # off the half-odd gaps the target eigenvalues q**(+-c - 1/2) leave the
+    # field, and the eigenfunctions t**(1/2 -+ c) are still positive
+    assert eig_positivity(solve_a(ZERO, 2.7, CTX3))
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +331,30 @@ def test_deformed_model_eigen_machinery():
 
 
 def test_ct_eigenbasis_integrates_one_transfer_matrix(monkeypatch):
+    # a whole deformed certificate integrates T once, through whichever
+    # module's binding, and solves for its eigenpair once: profile-transfer,
+    # its positivity grid and the eigenbasis all read the profile's own
     df = solve_a(PerturbationF0(((0.03, 0.01),)), 2.5, CTX3)
     model = build_model(standard_family(3), 3, f=df)
-    real = funcspace.transfer_matrix_T
-    calls = []
+    real_matrix, real_init = funcspace.transfer_matrix_T, OdeFn.__init__
+    matrices, solutions = [], []
 
-    def counting(profile, q, **kwargs):
-        calls.append(q)
-        return real(profile, q, **kwargs)
+    def counting_matrix(profile, q, **kwargs):
+        matrices.append(q)
+        return real_matrix(profile, q, **kwargs)
 
-    monkeypatch.setattr(funcspace, "transfer_matrix_T", counting)
-    ct_eigenbasis(model)
-    assert len(calls) == 1
+    def counting_init(self, *args, **kwargs):
+        solutions.append(args)
+        real_init(self, *args, **kwargs)
+
+    for module in (funcspace, deform):
+        monkeypatch.setattr(module, "transfer_matrix_T", counting_matrix)
+    monkeypatch.setattr(OdeFn, "__init__", counting_init)
+    certificate = build_certificate(model, samples=2, seed=0)
+    assert (len(matrices), len(solutions)) == (1, 2)
+    transfer = next(s for s in certificate["sections"] if s["name"] == "profile-transfer")
+    assert transfer["pass"] and transfer["details"]["eigenfunctions_positive"]
+    assert certificate["overall_pass"]
 
 
 # ---------------------------------------------------------------------------
