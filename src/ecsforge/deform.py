@@ -309,7 +309,7 @@ def _positive_on_grid(fn, lo: float, hi: float) -> bool:
     return all(fn.value(t) > 0.0 for t in np.geomspace(lo, hi, POSITIVITY_POINTS))
 
 
-def eig_positivity(df: DeformedF, ctx: QFieldContext | None = None) -> bool:
+def eig_positivity(df: DeformedF) -> bool:
     """Whether both T-eigenfunctions of the solved profile are positive.
 
     The pair is the profile's own `eigenpair`, normalized to y(1) = 1,
@@ -318,7 +318,7 @@ def eig_positivity(df: DeformedF, ctx: QFieldContext | None = None) -> bool:
     positive eigenvalue under t -> t/q.  Without the target eigenpair (a
     complex pair, or a trace off target) there is no positive eigenbasis.
     """
-    q = float((df._ctx if ctx is None else ctx).q)
+    q = float(df._ctx.q)
     try:
         pair = df.eigenpair
     except ValueError:

@@ -9,6 +9,11 @@ Christoffel field for the curvature tensor, and derivatives of curvature
 components for the parallelism checks.  Central differences are paired
 with one Richardson extrapolation step throughout, which pushes the
 truncation error below the rounding floor at the module's two steps.
+Each differencing level is evaluated as one stack per workup: the
+curvature cores at a point and its stencil are one stacked computation,
+and the Christoffel symbols at all of their stencil points one
+`christoffel` call.  Stacking changes no arithmetic: every point's values
+are bit for bit those of the point alone.
 
 Norms here are Frobenius norms of coordinate component arrays.  That is a
 chart convention, not an invariant — the metric's own quartic invariants
@@ -58,6 +63,22 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _at_distinct(t: np.ndarray, *functions: Callable[[float], float]) -> list[np.ndarray]:
+    """Each scalar function of t over the stack t, called once per distinct
+    t: a stencil's hundreds of points share a few dozen t values."""
+    if t.ndim == 0:
+        # a single point, as the geodesic integrator passes: no table needed
+        return [np.float64(function(float(t))) for function in functions]
+    keys = t.ravel().tolist()
+    distinct = set(keys)
+    columns = []
+    for function in functions:
+        values = {s: function(s) for s in distinct}
+        column = np.fromiter(map(values.__getitem__, keys), dtype=float, count=len(keys))
+        columns.append(column.reshape(t.shape))
+    return columns
+
+
 @dataclass(frozen=True)
 class MetricPatch:
     """The metric g = kappa dt**2 + dt ds + <dv, dv> with its analytic
@@ -67,6 +88,13 @@ class MetricPatch:
     them (or multiplying kappa by the `kappa_factor` pair (phi, phi_dot))
     produces the flat, locally symmetric, higher-shift-rank, and perturbed
     control metrics used as negative controls.
+
+    Every field takes a stack of chart points, shape (..., n), and returns
+    one value per point.  h and A hold at most one +-1 per row and column,
+    so their products are exact in any order; the quadratic forms v.h.v
+    are one BLAS dot per point (`np.vecdot` on unit-stride rows), the same
+    sum a single vector's `v @ h @ v` makes; and the profile is evaluated
+    once per distinct t.  So a point's values do not depend on its stack.
     """
 
     model: ModelData
@@ -96,60 +124,63 @@ class MetricPatch:
         rows = self.shift_rows if self.shift_rows is not None else self.model.shift_rows()
         return _read_only(np.array(rows, dtype=float))
 
-    def kappa(self, t: float, v: np.ndarray) -> float:
-        h = self.h
-        base = self._profile().value(t) * float(v @ h @ v) + float((self.shift @ v) @ h @ v)
-        if self.kappa_factor is not None:
-            base *= self.kappa_factor[0](t)
-        return base
+    @cached_property
+    def shift_form(self) -> np.ndarray:
+        """A^T h, so that h (A v) = v @ shift_form for a row vector v."""
+        return _read_only(self.shift.T @ self.h)
 
-    def kappa_t(self, t: float, v: np.ndarray) -> float:
-        h = self.h
-        sigma = float(v @ h @ v)
-        shift_part = float((self.shift @ v) @ h @ v)
-        f = self._profile()
-        out = f.deriv(t) * sigma
+    def kappa(self, x: np.ndarray) -> np.ndarray:
+        """kappa at each point of the stack x, shape (..., n) -> (...)."""
+        x = np.ascontiguousarray(x, dtype=float)
+        t, v = x[..., 0], x[..., 2:]
+        (value,) = _at_distinct(t, self._profile().value)
+        out = value * np.vecdot(v @ self.h, v) + np.vecdot(v @ self.shift_form, v)
         if self.kappa_factor is not None:
-            phi, phi_dot = self.kappa_factor
-            out = phi(t) * out + phi_dot(t) * (f.value(t) * sigma + shift_part)
+            out = out * _at_distinct(t, self.kappa_factor[0])[0]
         return out
 
-    def kappa_grad(self, t: float, v: np.ndarray) -> np.ndarray:
-        h, shift = self.h, self.shift
-        grad = 2.0 * self._profile().value(t) * (h @ v)
-        grad = grad + shift.T @ (h @ v) + h @ (shift @ v)
-        if self.kappa_factor is not None:
-            grad = self.kappa_factor[0](t) * grad
-        return grad
-
     def metric(self, x: np.ndarray) -> np.ndarray:
-        t, v = float(x[0]), np.asarray(x[2:], dtype=float)
-        g = np.zeros((self.n, self.n))
-        g[0, 0] = self.kappa(t, v)
-        g[0, 1] = g[1, 0] = 0.5
-        g[2:, 2:] = self.h
+        x = np.asarray(x, dtype=float)
+        g = np.zeros(x.shape[:-1] + (self.n, self.n))
+        g[..., 0, 0] = self.kappa(x)
+        g[..., 0, 1] = g[..., 1, 0] = 0.5
+        g[..., 2:, 2:] = self.h
         return g
 
     def metric_inverse(self, x: np.ndarray) -> np.ndarray:
-        t, v = float(x[0]), np.asarray(x[2:], dtype=float)
-        inv = np.zeros((self.n, self.n))
-        inv[0, 1] = inv[1, 0] = 2.0
-        inv[1, 1] = -4.0 * self.kappa(t, v)
-        inv[2:, 2:] = self.h  # the anti-diagonal block squares to 1
+        x = np.asarray(x, dtype=float)
+        inv = np.zeros(x.shape[:-1] + (self.n, self.n))
+        inv[..., 0, 1] = inv[..., 1, 0] = 2.0
+        inv[..., 1, 1] = -4.0 * self.kappa(x)
+        inv[..., 2:, 2:] = self.h  # the anti-diagonal block squares to 1
         return inv
 
     def christoffel(self, x: np.ndarray) -> np.ndarray:
-        """Gamma[a, b, c] = Gamma^a_{bc}; only the ds row and the v-block
-        tt-column are populated."""
-        t, v = float(x[0]), np.asarray(x[2:], dtype=float)
-        if t <= 0:
+        """Gamma[..., a, b, c] = Gamma^a_{bc} at each point of the stack x;
+        only the ds row and the v-block tt-column are populated."""
+        x = np.ascontiguousarray(x, dtype=float)
+        t, v = x[..., 0], x[..., 2:]
+        if (t <= 0).any():
             raise ValueError("the chart requires t > 0")
-        gamma = np.zeros((self.n, self.n, self.n))
-        grad = self.kappa_grad(t, v)
-        gamma[1, 0, 0] = self.kappa_t(t, v)
-        gamma[1, 0, 2:] = grad
-        gamma[1, 2:, 0] = grad
-        gamma[2:, 0, 0] = -0.5 * (self.h @ grad)
+        h, shift = self.h, self.shift
+        f = self._profile()
+        value, deriv = _at_distinct(t, f.value, f.deriv)
+        # h is symmetric: hv = h v and hav = h A v
+        hv, hav = v @ h, v @ self.shift_form
+        sigma = np.vecdot(hv, v)
+        # d_t kappa and grad_v kappa
+        kappa_t = deriv * sigma
+        grad = (2.0 * value)[..., None] * hv + hv @ shift + hav
+        if self.kappa_factor is not None:
+            phi, phi_dot = _at_distinct(t, *self.kappa_factor)
+            kappa_t = phi * kappa_t + phi_dot * (value * sigma + np.vecdot(hav, v))
+            grad = phi[..., None] * grad
+        n = self.n
+        gamma = np.zeros(x.shape[:-1] + (n, n, n))
+        gamma[..., 1, 0, 0] = kappa_t
+        gamma[..., 1, 0, 2:] = grad
+        gamma[..., 1, 2:, 0] = grad
+        gamma[..., 2:, 0, 0] = -0.5 * (grad @ h)
         return gamma
 
 
@@ -162,38 +193,46 @@ def _as_point(x: np.ndarray):
     return (float(x[0]), float(x[1]), np.array(x[2:], dtype=float))
 
 
-def _richardson_partials(
-    evaluate: Callable[[np.ndarray], Sequence[np.ndarray]],
-    x: np.ndarray,
-    step: float,
-    base: Sequence[np.ndarray],
-) -> list[np.ndarray]:
-    """Coordinate derivatives of the arrays `evaluate` returns, one jet per
-    array with jet[c] = d_c F, matching the arrays `base` in shape.
+def _stencil_steps(x: np.ndarray, step: float) -> tuple[list[int], np.ndarray]:
+    """The directions differenced at the centres of the stack x (P, n), and
+    the coarse step h of each, shape (P, n - 1): relative to t in the
+    t-direction.  Nothing depends on s, so the s-derivative is structurally
+    zero and skipped."""
+    live = [c for c in range(x.shape[-1]) if c != 1]
+    h = np.full((x.shape[0], len(live)), step)
+    h[:, 0] = step * np.abs(x[:, 0])
+    return live, h
 
-    Richardson-extrapolated central differences (4 D(h/2) - D(h)) / 3, with
-    the t-step relative to t.  Nothing depends on s, so the s-derivative is
-    structurally zero and skipped.  Only one pair of offset evaluations is
-    alive at a time.
+
+def _stencil(x: np.ndarray, step: float) -> np.ndarray:
+    """Each centre of the stack x (P, n) followed by its Richardson
+    stencil, shape (P, 4n - 3, n): per live direction c, x + h e_c,
+    x - h e_c, x + (h/2) e_c and x - (h/2) e_c."""
+    live, h = _stencil_steps(x, step)
+    offset = h[:, :, None] * np.eye(x.shape[-1])[live]
+    centre = x[:, None, :]
+    offsets = np.stack(
+        [centre + offset, centre - offset, centre + offset / 2, centre - offset / 2], axis=2
+    )
+    return np.concatenate([centre, offsets.reshape(x.shape[0], -1, x.shape[-1])], axis=1)
+
+
+def _richardson_partials(values: np.ndarray, x: np.ndarray, step: float) -> np.ndarray:
+    """Coordinate derivatives at the centres of the stack x (P, n) of a
+    field whose values on `_stencil(x, step)` are `values`, shape
+    (P, 4n - 3, ...): jet[p, c] = d_c F at x[p], shape (P, n, ...).
+
+    Richardson-extrapolated central differences (4 D(h/2) - D(h)) / 3.
     """
-    n = x.size
-    jets = [np.zeros((n,) + array.shape) for array in base]
-
-    def difference(offset: np.ndarray, width: float) -> list[np.ndarray]:
-        plus, minus = evaluate(x + offset), evaluate(x - offset)
-        return [(a - b) / width for a, b in zip(plus, minus)]
-
-    for c in range(n):
-        if c == 1:
-            continue
-        h = step * abs(x[0]) if c == 0 else step
-        offset = np.zeros(n)
-        offset[c] = h
-        coarse = difference(offset, 2 * h)
-        offset[c] = h / 2
-        fine = difference(offset, h)
-        for jet, coarse_k, fine_k in zip(jets, coarse, fine):
-            jet[c] = (4.0 * fine_k - coarse_k) / 3.0
+    live, h = _stencil_steps(x, step)
+    h = h.reshape(h.shape + (1,) * (values.ndim - 2))
+    jets = np.zeros(values.shape[:1] + (x.shape[-1],) + values.shape[2:])
+    # one direction at a time, so that the temporaries stay at one direction's size
+    for i, c in enumerate(live):
+        plus, minus, half_plus, half_minus = (values[:, 1 + 4 * i + k] for k in range(4))
+        coarse = (plus - minus) / (2 * h[:, i])
+        fine = (half_plus - half_minus) / h[:, i]
+        jets[:, c] = (4.0 * fine - coarse) / 3.0
     return jets
 
 
@@ -205,36 +244,44 @@ DERIVATIVE_STEP = 1e-3
 
 
 def _curvature_core(patch: MetricPatch, x: np.ndarray):
-    """(g^-1, Gamma, Riemann_down, Ricci, scalar, Weyl) at one chart point."""
+    """(g^-1, Gamma, Riemann_down, Ricci, scalar, Weyl) at each point of
+    the stack x (P, n), each with the stack axis first.  The Christoffel
+    symbols at every point and its stencil come from one `christoffel`
+    call."""
     n = patch.n
+    # first: a point at t <= 0 is the chart's ValueError, not the profile's
+    gammas = patch.christoffel(_stencil(x, CURVATURE_STEP))
     g = patch.metric(x)
     g_inv = patch.metric_inverse(x)
-    # jet[c, a, b, d] = d_c Gamma^a_{bd}
-    gamma = patch.christoffel(x)
-    (jet,) = _richardson_partials(lambda y: (patch.christoffel(y),), x, CURVATURE_STEP, (gamma,))
+    # jet[p, c, a, b, d] = d_c Gamma^a_{bd} at x[p].  The stencil's symbols
+    # and their jet are the workup's largest arrays: each is dropped as soon
+    # as it is used, which keeps the peak near the symbols' own size
+    jet = _richardson_partials(gammas, x, CURVATURE_STEP)
+    gamma = gammas[:, 0].copy()
+    del gammas
     # R^a_{bcd} = d_c G^a_{db} - d_d G^a_{cb} + G^a_{ce} G^e_{db} - G^a_{de} G^e_{cb}
     riemann_up = (
-        np.einsum("cadb->abcd", jet)
-        - np.einsum("dacb->abcd", jet)
-        + np.einsum("ace,edb->abcd", gamma, gamma)
-        - np.einsum("ade,ecb->abcd", gamma, gamma)
+        np.einsum("...cadb->...abcd", jet)
+        - np.einsum("...dacb->...abcd", jet)
+        + np.einsum("...ace,...edb->...abcd", gamma, gamma)
+        - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
     )
-    riemann = np.einsum("ae,ebcd->abcd", g, riemann_up)
-    ricci = np.einsum("abad->bd", riemann_up)
-    scalar = float(np.einsum("bd,bd->", g_inv, ricci))
+    del jet
+    riemann = np.einsum("...ae,...ebcd->...abcd", g, riemann_up)
+    ricci = np.einsum("...abad->...bd", riemann_up)
+    scalar = np.einsum("...bd,...bd->...", g_inv, ricci)
     factor = 1.0 / (n - 2)
     weyl = (
         riemann
         - factor
         * (
-            np.einsum("ac,bd->abcd", g, ricci)
-            - np.einsum("ad,bc->abcd", g, ricci)
-            + np.einsum("bd,ac->abcd", g, ricci)
-            - np.einsum("bc,ad->abcd", g, ricci)
+            np.einsum("...ac,...bd->...abcd", g, ricci)
+            - np.einsum("...ad,...bc->...abcd", g, ricci)
+            + np.einsum("...bd,...ac->...abcd", g, ricci)
+            - np.einsum("...bc,...ad->...abcd", g, ricci)
         )
-        + scalar
-        / ((n - 1) * (n - 2))
-        * (np.einsum("ac,bd->abcd", g, g) - np.einsum("ad,bc->abcd", g, g))
+        + (scalar / ((n - 1) * (n - 2)))[:, None, None, None, None]
+        * (np.einsum("...ac,...bd->...abcd", g, g) - np.einsum("...ad,...bc->...abcd", g, g))
     )
     return g_inv, gamma, riemann, ricci, scalar, weyl
 
@@ -280,18 +327,26 @@ class CurvatureReport:
 
 def curvature_at(patch: MetricPatch, point) -> CurvatureReport:
     """Full curvature workup at one point: tensors, norms, parallelism
-    residuals, and the null-distribution dimension."""
+    residuals, and the null-distribution dimension.
+
+    Both differencing levels run as one stack: the curvature core at the
+    point and its 4n - 4 stencil neighbours is one `_curvature_core` call,
+    and so one `christoffel` call on (4n - 3)**2 points.
+    """
     x = _as_array(point)
     if x[0] <= 0:
         raise ValueError("the chart requires t > 0")
-    g_inv, gamma, riemann, ricci, scalar, weyl = _curvature_core(patch, x)
-    nabla_w, nabla_r = _covariant_norms(patch, x, gamma, weyl, riemann)
+    g_inv, gamma, riemann, ricci, scalar, weyl = _curvature_core(
+        patch, _stencil(x[None], DERIVATIVE_STEP)[0]
+    )
+    nabla_w, nabla_r = _covariant_norms(x, gamma[0], (weyl, riemann))
+    g_inv, riemann, ricci, scalar, weyl = g_inv[0], riemann[0], ricci[0], scalar[0], weyl[0]
     dim, singulars = olszak_singular_values(weyl)
     return CurvatureReport(
         point=point,
         riemann=riemann,
         ricci=ricci,
-        scalar=scalar,
+        scalar=float(scalar),
         weyl=weyl,
         norm_riemann=float(np.linalg.norm(riemann)),
         norm_weyl=float(np.linalg.norm(weyl)),
@@ -304,25 +359,21 @@ def curvature_at(patch: MetricPatch, point) -> CurvatureReport:
 
 
 def _covariant_norms(
-    patch: MetricPatch, x: np.ndarray, gamma: np.ndarray, weyl: np.ndarray, riemann: np.ndarray
+    x: np.ndarray, gamma: np.ndarray, fields: Sequence[np.ndarray]
 ) -> list[float]:
-    """Frobenius norms of nabla W and nabla R, given Gamma, W and R at x.
+    """Frobenius norms of the covariant derivatives of tensor fields given
+    on `_stencil(x, DERIVATIVE_STEP)`, shape (4n - 3, n, n, n, n) each,
+    with Gamma at x.
 
-    The partial-derivative part differences both fields with
-    `_richardson_partials`; each offset curvature core is computed once and
-    serves both.  The connection corrections close the covariant
-    derivative.  No Christoffel symbol carries a lower s index, so the
-    s-slot of the derivative is identically zero.
+    The partial-derivative part is `_richardson_partials`; the connection
+    corrections close the covariant derivative.  No Christoffel symbol
+    carries a lower s index, so the s-slot of the derivative is
+    identically zero.
     """
-
-    def fields(y: np.ndarray) -> tuple:
-        _, _, riemann_y, _, _, weyl_y = _curvature_core(patch, y)
-        return weyl_y, riemann_y
-
-    tensors = (weyl, riemann)
-    partials = _richardson_partials(fields, x, DERIVATIVE_STEP, tensors)
     norms = []
-    for partial, tensor in zip(partials, tensors):
+    for field in fields:
+        partial = _richardson_partials(field[None], x[None], DERIVATIVE_STEP)[0]
+        tensor = field[0]
         nabla = (
             partial
             - np.einsum("fea,fbcd->eabcd", gamma, tensor)

@@ -226,7 +226,7 @@ def test_gate06_profile_solver_reference_values():
         assert abs(achieved - target_trace_value(c, ctx)) < 1e-10
         eigenvalues = np.linalg.eigvals(transfer_matrix_T(solved, q))
         assert abs(float(np.prod(eigenvalues.real)) - 1.0 / q) < 1e-8
-        assert eig_positivity(solved, ctx)
+        assert eig_positivity(solved)
 
 
 def test_gate07_canonical_representatives_idempotent_orbit_invariant():

@@ -146,8 +146,13 @@ def test_certificates_are_deterministic(tmp_path):
 
 @pytest.mark.parametrize(
     "n, p, coeffs",
-    [(5, 3, ()), (7, 4, ()), (5, 3, ((0.02, 0.01),))],
-    ids=["5-3", "7-4", "5-3-deformed"],
+    [
+        (5, 3, ()),
+        (7, 4, ()),
+        (5, 3, ((0.02, 0.01),)),
+        (7, 5, ((0.01, -0.01), (0.02, 0.0))),
+    ],
+    ids=["5-3", "7-4", "5-3-deformed", "7-5-deformed"],
 )
 def test_certificate_matches_golden_file(n, p, coeffs):
     # The golden files pin every byte of a certificate, floats included, so

@@ -24,6 +24,7 @@ from ecsforge.geometry import (
     isometry_residual,
 )
 from ecsforge.cli import DEFAULT_TOLERANCES
+from ecsforge.deform import PerturbationF0, solve_a
 from ecsforge.model import build_model, curvature_identities, kappa
 from ecsforge.quotient import (
     HElement,
@@ -89,7 +90,8 @@ def test_metric_inverse_exact():
 @settings(max_examples=25, deadline=None)
 def test_kappa_matches_model(t, coords):
     v = np.array(coords)
-    assert PATCH.kappa(t, v) == pytest.approx(kappa(MODEL, t, v), rel=1e-12, abs=1e-12)
+    value = float(PATCH.kappa(np.concatenate([[t, 0.0], v])))
+    assert value == pytest.approx(kappa(MODEL, t, v), rel=1e-12, abs=1e-12)
 
 
 def test_christoffel_closed_form():
@@ -190,24 +192,86 @@ def test_riemann_not_parallel():
 
 
 @pytest.mark.parametrize(
-    "patch, point, calls",
+    "patch, point, points",
     [(PATCH, POINT, 289), (PATCH7, POINT7, 625)],
     ids=["n5", "n7"],
 )
-def test_curvature_pass_christoffel_count(monkeypatch, patch, point, calls):
-    # one curvature core costs 4n - 3 Christoffel evaluations (the point and
-    # two Richardson pairs in each of n - 1 directions), and one curvature
-    # workup needs 4n - 3 cores: the base and the same offsets one level up
-    seen = []
+def test_curvature_pass_christoffel_count(monkeypatch, patch, point, points):
+    # one curvature core needs Christoffel symbols at 4n - 3 points (the
+    # point and two Richardson pairs in each of n - 1 directions), and one
+    # curvature workup needs 4n - 3 cores: the base and the same offsets one
+    # level up.  Both levels are stacked, so the whole workup is one call.
+    batches = []
     original = MetricPatch.christoffel
 
     def counted(self, x):
-        seen.append(None)
+        batches.append(np.asarray(x).reshape(-1, self.n).shape[0])
         return original(self, x)
 
     monkeypatch.setattr(MetricPatch, "christoffel", counted)
     curvature_at(patch, point)
-    assert len(seen) == (4 * patch.n - 3) ** 2 == calls
+    assert sum(batches) == (4 * patch.n - 3) ** 2 == points
+    assert len(batches) == 1
+
+
+def _stack_patches():
+    system = standard_family(3)
+    profile = solve_a(PerturbationF0(((0.02, 0.01),)), system.k / 2.0, QFieldContext(3))
+    deformed = build_model(system, p=3, f=profile)
+    return {
+        "power-law": PATCH,
+        "deformed": MetricPatch(deformed),
+        "flat": flat_patch(MODEL),
+        "symmetric": MetricPatch(MODEL, profile=ConstantProfile(2.0), shift_rows=zero_rows(MODEL)),
+        "kappa-factor": perturbed_patch(MODEL, 0.02),
+    }
+
+
+STACK_PATCHES = _stack_patches()
+
+
+def _stack(rows=7):
+    # a few shared t values, as in a stencil, and one repeated point
+    rng = np.random.default_rng(3)
+    t = rng.choice([0.4, 1.3, 2.9], size=rows)
+    x = np.column_stack([t, rng.uniform(-1, 1, rows), rng.uniform(-1.5, 1.5, (rows, MODEL.m))])
+    x[-1] = x[0]
+    return x
+
+
+@pytest.mark.parametrize("name", list(STACK_PATCHES))
+def test_christoffel_stack_matches_single_points_bitwise(name):
+    patch = STACK_PATCHES[name]
+    x = _stack()
+    stacked = patch.christoffel(x)
+    assert stacked.shape == (len(x), patch.n, patch.n, patch.n)
+    assert np.array_equal(stacked, np.stack([patch.christoffel(row) for row in x]))
+    assert np.array_equal(patch.christoffel(x[:, None])[:, 0], stacked)
+    assert np.array_equal(patch.kappa(x), np.stack([patch.kappa(row) for row in x]))
+    assert np.array_equal(patch.metric(x), np.stack([patch.metric(row) for row in x]))
+
+
+@pytest.mark.parametrize("name", list(STACK_PATCHES))
+def test_curvature_core_stack_matches_single_points_bitwise(name):
+    patch = STACK_PATCHES[name]
+    x = _stack(5)
+    stacked = geometry._curvature_core(patch, x)
+    singles = [geometry._curvature_core(patch, row[None]) for row in x]
+    for k, field in enumerate(stacked):
+        assert np.array_equal(field, np.concatenate([single[k] for single in singles])), k
+
+
+@pytest.mark.parametrize("name", list(STACK_PATCHES))
+def test_christoffel_stack_rejects_any_bad_t(name):
+    patch = STACK_PATCHES[name]
+    x = _stack()
+    for t in (0.0, -0.5):
+        bad = x.copy()
+        bad[4, 0] = t
+        with pytest.raises(ValueError):
+            patch.christoffel(bad)
+        with pytest.raises(ValueError):
+            geometry._curvature_core(patch, bad)
 
 
 def test_patch_matrices_are_built_once_and_read_only():
