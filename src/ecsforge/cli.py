@@ -681,7 +681,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_search_even(args) -> int:
-    found = search_systems(args.m, args.k_max)
+    try:
+        found = search_systems(args.m, args.k_max)
+    except ValueError as exc:
+        print(f"bad --m: {exc}", file=sys.stderr)
+        return 2
     report = {
         "m": args.m,
         "k_max": args.k_max,

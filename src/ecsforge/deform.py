@@ -260,9 +260,9 @@ def solve_a(fstar: PerturbationF0, c: float, ctx: QFieldContext) -> DeformedF:
     Brent's bracketed root finder on [c - 1/2, c + 1/2] (the trace is
     strictly increasing in a when the perturbation is small) converges to
     rounding level in about ten trace evaluations; the residual at the root
-    is then recomputed and must be within `TRACE_TOL`.  Rejects
-    perturbations with max|g| > (c**2 - 1/4)/2: beyond that the bracket is
-    not guaranteed to contain exactly one root.
+    (one of those evaluations, so it is not integrated again) must be
+    within `TRACE_TOL`.  Rejects perturbations with max|g| > (c**2 - 1/4)/2:
+    beyond that the bracket is not guaranteed to contain exactly one root.
     """
     if c <= 0.5:
         raise ValueError(f"half-gap c must exceed 1/2, got {c}")
@@ -275,9 +275,14 @@ def solve_a(fstar: PerturbationF0, c: float, ctx: QFieldContext) -> DeformedF:
         )
     target = target_trace_value(c, ctx)
 
-    @functools.cache  # brentq evaluates the bracket ends again
+    # brentq evaluates the bracket ends again, and the check below reads
+    # the trace at the root, which brentq has already evaluated
+    @functools.cache
+    def trace(a: float) -> float:
+        return trace_H(fstar, a, ctx)
+
     def residual(a: float) -> float:
-        return trace_H(fstar, a, ctx) - target
+        return trace(a) - target
 
     lo, hi = c - 0.5, c + 0.5
     if residual(lo) * residual(hi) > 0:
@@ -289,7 +294,7 @@ def solve_a(fstar: PerturbationF0, c: float, ctx: QFieldContext) -> DeformedF:
     # root near 0
     root = brentq(residual, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
 
-    achieved = trace_H(fstar, root, ctx)
+    achieved = trace(root)
     if abs(achieved - target) > TRACE_TOL:
         raise ValueError(
             f"trace residual {abs(achieved - target):.3e} did not reach "

@@ -15,7 +15,6 @@ that even orders admit none.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
 __all__ = ["ZSpectralSystem", "standard_family", "search_systems"]
@@ -237,45 +236,76 @@ def _orbit_data(m: int, k: int):
     return orbits
 
 
-def _candidates(m: int, k: int, window: int) -> Iterator[tuple[list[int], list[int]]]:
-    """Every (E, J) that the orbit parametrisation allows: one x per free
-    orbit in |x| <= window, and one of the two J alternations per orbit.
-    All of them meet axioms (a)-(c).  The yielded lists are not mutated
-    afterwards; the J choices of one x share the same E list."""
-    orbits = _orbit_data(m, k)
-    if orbits is None:
-        return
-    n = 2 * m
-    choices = []
-    for labels, parity, forced_x in orbits:
-        if forced_x is not None:
-            choices.append((forced_x,))
-        else:
-            choices.append(tuple(range(-window, window + 1)))
-    for xs in product(*choices):
-        exponents = [0] * n
-        for (labels, parity, forced_x), x in zip(orbits, xs):
-            for slot, (alpha, beta) in labels.items():
-                exponents[slot - 1] = alpha * x + beta
-        for bits_flips in product((0, 1), repeat=len(orbits)):
-            bits = [0] * n
-            for (labels, parity, forced_x), flip in zip(orbits, bits_flips):
-                for slot in labels:
-                    bits[slot - 1] = parity[slot] ^ flip
-            yield exponents, bits
+def _orbit_options(labels, parity, xs) -> list[tuple[int, int, frozenset[int]]]:
+    """The (x, flip, selected values) options of one orbit that can still
+    meet axiom (d).
+
+    Every system selects exactly one slot of each mirrored pair, so Y has
+    m + 1 distinct values only when no two selected exponents coincide and
+    none equals -1; an option whose own selection breaks that is dropped.
+    """
+    options = []
+    for x in xs:
+        for flip in (0, 1):
+            selected = [
+                alpha * x + beta
+                for slot, (alpha, beta) in labels.items()
+                if parity[slot] ^ flip
+            ]
+            values = frozenset(selected)
+            if len(values) == len(selected) and -1 not in values:
+                options.append((x, flip, values))
+    return options
 
 
 def _systems_for_gap(m: int, k: int, window: int) -> Iterator[ZSpectralSystem]:
-    """The valid systems among `_candidates`.  Only axiom (d) can fail, so
-    only (d) is tested per candidate; a candidate that passes is built and
-    checked against all four axioms."""
-    for exponents, bits in _candidates(m, k, window):
-        spectrum = {-1, *(e for e, bit in zip(exponents, bits) if bit)}
-        if len(spectrum) != m + 1 or any(-y not in spectrum for y in spectrum):
-            continue
-        system = ZSpectralSystem(m=m, k=k, E=tuple(exponents), J=tuple(bits))
-        if not system.axiom_failures():
-            yield system
+    """The valid systems of gap k, joined orbit by orbit as `search_systems`
+    describes: the orbit with the most options is looked up, not walked."""
+    orbits = _orbit_data(m, k)
+    if orbits is None:
+        return
+    options = [
+        _orbit_options(
+            labels, parity, range(-window, window + 1) if forced_x is None else (forced_x,)
+        )
+        for labels, parity, forced_x in orbits
+    ]
+    last = max(range(len(orbits)), key=lambda i: len(options[i]))
+    by_value: dict[int, list] = {}
+    for option in options[last]:
+        for value in option[2]:
+            by_value.setdefault(value, []).append(option)
+
+    partials = [(frozenset({-1}), ())]
+    for i in sorted(range(len(orbits)), key=lambda i: len(options[i])):
+        if i != last:
+            partials = [
+                (spectrum | option[2], chosen + ((i, option),))
+                for spectrum, chosen in partials
+                for option in options[i]
+                if spectrum.isdisjoint(option[2])
+            ]
+
+    n = 2 * m
+    for spectrum, chosen in partials:
+        missing = next((-y for y in spectrum if -y not in spectrum), None)
+        tails = options[last] if missing is None else by_value.get(missing, ())
+        for tail in tails:
+            if not spectrum.isdisjoint(tail[2]):
+                continue
+            full = spectrum | tail[2]
+            if any(-y not in full for y in full):
+                continue
+            exponents = [0] * n
+            bits = [0] * n
+            for i, (x, flip, _) in chosen + ((last, tail),):
+                labels, parity, _ = orbits[i]
+                for slot, (alpha, beta) in labels.items():
+                    exponents[slot - 1] = alpha * x + beta
+                    bits[slot - 1] = parity[slot] ^ flip
+            system = ZSpectralSystem(m=m, k=k, E=tuple(exponents), J=tuple(bits))
+            if not system.axiom_failures():
+                yield system
 
 
 def search_systems(
@@ -285,22 +315,37 @@ def search_systems(
 
     Exhaustive within the stated range: axioms (a)-(c) leave one integer
     parameter per unanchored orbit of the slot pairings, scanned over
-    |x| <= window (default 2k + 4).  The default window is exhaustive for
-    the small orders this is meant for: symmetry of Y forces every selected
-    exponent to be the negative of -1 or of another selected value, and all
-    anchored values are bounded by (k + 3)/2, so a free parameter outside
-    the window cannot produce a symmetric spectrum.  J alternates across
-    both pairings, leaving two bit choices per orbit.  Since the
-    parametrisation meets (a)-(c) by construction, each candidate is tested
-    only against axiom (d); a candidate that passes is built and checked
-    against all four axioms before it is returned.  Results are sorted by
-    (k, E, J); an empty list is a genuine nonexistence certificate for the
-    range scanned.
+    |x| <= window (default 2k + 4; a negative window is refused, since it
+    would scan nothing and report nothing).  The default window is
+    exhaustive for the small orders this is meant for: symmetry of Y forces
+    every selected exponent to be the negative of -1 or of another selected
+    value, and all anchored values are bounded by (k + 3)/2, so a free
+    parameter outside the window cannot produce a symmetric spectrum.  J
+    alternates across both pairings, leaving two bit choices per orbit.
+
+    The candidates of this parametrisation meet (a)-(c) by construction,
+    so only (d) decides, and the candidates are joined orbit by orbit
+    rather than enumerated as a product.  Each orbit contributes one
+    option per (x, J alternation) and selects one slot of each of its
+    mirrored pairs; (d) needs the m selected values and -1 to be m + 1
+    distinct values, so an option that repeats a value or selects -1 is
+    dropped, and so is any combination in which two orbits select a common
+    value.  The orbit with the most options is joined last and is not
+    walked: it must supply the mirror of every value the others leave
+    unmatched, so only its options holding one such value are tried (all of
+    them when nothing is unmatched).  Each step discards only candidates that fail (d), so the join
+    visits every candidate of the full product that could pass, over the
+    same window.  A candidate whose spectrum is symmetric is built and
+    checked against all four axioms before it is returned.  Results are
+    sorted by (k, E, J); an empty list is a genuine nonexistence
+    certificate for the range scanned.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError(f"order m must be a positive integer, got {m!r}")
     if m > 6:
         raise ValueError("exhaustive search supports m <= 6 only")
+    if window is not None and window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     if k_max < 1:
         return []
     found = []

@@ -678,6 +678,20 @@ def test_search_odd_m3_recovers_the_family_member(capsys):
     assert any(system["k"] == 5 for system in report["systems"])
 
 
+@pytest.mark.parametrize("m", ["0", "7", "-1"])
+def test_search_even_bad_order_is_a_usage_error(capsys, m):
+    # exit 1 would read as "the search found something"
+    assert main(["search-even", "--m", m, "--k-max", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bad --m: ")
+
+
+def test_search_even_m2_small_range_exits_zero(capsys):
+    assert main(["search-even", "--m", "2", "--k-max", "9"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"count": 0, "k_max": 9, "m": 2, "systems": []}
+
+
 def test_default_tolerances_are_not_mutated_by_overrides(tmp_path):
     before = dict(DEFAULT_TOLERANCES)
     out = generate(tmp_path)

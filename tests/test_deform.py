@@ -157,6 +157,9 @@ def test_solve_a_root_and_trace_evaluation_count(monkeypatch, n, p, coeffs, a_re
     c = standard_family((n + 1) // 2).k / 2.0
     df = solve_a(PerturbationF0(coeffs), c, QFieldContext(p))
     assert len(calls) <= 16  # bisection and a Newton polish made 38
+    # the residual check at the root reads brentq's own evaluation
+    assert df.a_solved in calls
+    assert len(set(calls)) == len(calls)
     assert abs(df.a_solved - a_reference) <= 1e-11
 
 
@@ -169,27 +172,20 @@ def test_solve_a_refuses_bracket_without_sign_change(monkeypatch):
 
 def test_solve_a_rechecks_the_trace_at_its_root(monkeypatch):
     fstar = PerturbationF0(((0.02, 0.01),))
+    root = solve_a(fstar, 2.5, CTX3).a_solved
+
+    # a trace that jumps by 2e-9 across the root: brentq still closes its
+    # bracket there, but no point it reaches is within TRACE_TOL
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return trace_H(*args)
+    def stalled(fstar, a, ctx):
+        calls.append(a)
+        return trace_H(fstar, a, ctx) + (1e-9 if a > root else -1e-9)
 
-    monkeypatch.setattr(deform, "trace_H", counted)
-    solve_a(fstar, 2.5, CTX3)
-    final = len(calls)
-
-    # the same run again, with only the last evaluation (the final check)
-    # reading 1e-9 off
-    def off_at_final(*args):
-        calls.append(args)
-        return trace_H(*args) + (1e-9 if len(calls) == final else 0.0)
-
-    calls.clear()
-    monkeypatch.setattr(deform, "trace_H", off_at_final)
+    monkeypatch.setattr(deform, "trace_H", stalled)
     with pytest.raises(ValueError, match="did not reach"):
         solve_a(fstar, 2.5, CTX3)
-    assert len(calls) == final
+    assert len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("n, p, coeffs, a_solved", WORKLOAD_PROFILES[:3])

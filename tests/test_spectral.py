@@ -7,13 +7,15 @@ so the generator cannot drift.  The closed form for the exponent spectrum
 parity intervals.
 """
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecsforge.spectral import (
     ZSpectralSystem,
-    _candidates,
+    _orbit_data,
     _systems_for_gap,
     search_systems,
     standard_family,
@@ -193,24 +195,65 @@ def test_search_guards():
     with pytest.raises(ValueError):
         search_systems(0, 5)
     assert search_systems(3, 0) == []
+    with pytest.raises(ValueError, match="window"):
+        search_systems(3, 9, window=-1)
+
+
+def product_candidates(m, k, window):
+    """Every (E, J) of the orbit parametrisation, as the full product: one x
+    per free orbit in |x| <= window and one J alternation per orbit.  The
+    reference for the orbit join in `_systems_for_gap`."""
+    orbits = _orbit_data(m, k)
+    if orbits is None:
+        return
+    n = 2 * m
+    choices = [
+        (forced_x,) if forced_x is not None else tuple(range(-window, window + 1))
+        for labels, parity, forced_x in orbits
+    ]
+    for xs in product(*choices):
+        exponents = [0] * n
+        for (labels, parity, forced_x), x in zip(orbits, xs):
+            for slot, (alpha, beta) in labels.items():
+                exponents[slot - 1] = alpha * x + beta
+        for flips in product((0, 1), repeat=len(orbits)):
+            bits = [0] * n
+            for (labels, parity, forced_x), flip in zip(orbits, flips):
+                for slot in labels:
+                    bits[slot - 1] = parity[slot] ^ flip
+            yield tuple(exponents), tuple(bits)
 
 
 def test_search_filter_matches_full_axiom_scan():
-    # the loop tests only axiom (d); a scan that runs the full check on
-    # every candidate of the same parametrisation must keep the same systems
-    for m in range(1, 5):
+    # the join prunes on axiom (d) alone; the full check run on every
+    # candidate of the product must keep the same systems, at the default
+    # window and at two overrides
+    for m, window in product(range(1, 7), (None, 0, 3)):
+        reference = []
         for k in range(1, 10, 2):
-            window = 2 * k + 4
+            w = 2 * k + 4 if window is None else window
             systems = [
-                ZSpectralSystem(m=m, k=k, E=tuple(E), J=tuple(J))
-                for E, J in _candidates(m, k, window)
+                ZSpectralSystem(m=m, k=k, E=E, J=J) for E, J in product_candidates(m, k, w)
             ]
             # the parametrisation itself meets (a)-(c): only (d) can fail
             for system in systems:
                 assert all(f.startswith("(d)") for f in system.axiom_failures()), system
-            reference = [s for s in systems if not s.axiom_failures()]
-            assert list(_systems_for_gap(m, k, window)) == reference
+            reference += [s for s in systems if not s.axiom_failures()]
+        reference.sort(key=lambda s: (s.k, s.E, s.J))
+        assert search_systems(m, 9, window=window) == reference
     assert list(_systems_for_gap(3, 5, 14)) == [standard_family(3)]
+
+
+def test_search_order_five_finds_one_system_off_the_family():
+    # m = 5 is the first order with a valid system besides the family's:
+    # at k = 7 the second free-orbit value swaps the pairs (1, -6), (5, -2)
+    family = standard_family(4)
+    other = ZSpectralSystem(
+        m=5, k=7, E=(4, -3, 5, -2, 3, -4, 1, -6, 2, -5), J=family.J
+    )
+    assert search_systems(5, 15) == [family, other]
+    assert other.axiom_failures() == ()
+    assert other.exponent_spectrum == family.exponent_spectrum
 
 
 def test_full_check_rejects_candidate_that_passes_d():
