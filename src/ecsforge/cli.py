@@ -681,6 +681,13 @@ def cmd_certify(args) -> int:
 
 
 def cmd_search_even(args) -> int:
+    if args.k_max < 1:
+        # no odd gap k lies in 1..k_max: an "empty search" that scanned nothing
+        print(
+            f"bad --k-max: the largest gap must be at least 1, got {args.k_max}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         found = search_systems(args.m, args.k_max)
     except ValueError as exc:

@@ -65,6 +65,11 @@ class PerturbationF0:
             if not (math.isfinite(a_j) and math.isfinite(b_j)):
                 raise ValueError("perturbation coefficients must be finite")
         object.__setattr__(self, "fourier_coeffs", coeffs)
+        # the angular frequency 2 pi j of each harmonic, grouped as the
+        # angle (2 pi j) x is
+        object.__setattr__(
+            self, "_freqs", tuple(2.0 * math.pi * j for j in range(1, len(coeffs) + 1))
+        )
 
     @classmethod
     def zero(cls) -> "PerturbationF0":
@@ -76,26 +81,32 @@ class PerturbationF0:
 
     def g(self, x: float) -> float:
         total = 0.0
-        for j, (a_j, b_j) in enumerate(self.fourier_coeffs, start=1):
-            angle = 2.0 * math.pi * j * x
+        for freq, (a_j, b_j) in zip(self._freqs, self.fourier_coeffs):
+            angle = freq * x
             total += a_j * (math.cos(angle) - 1.0) + b_j * math.sin(angle)
         return total
 
     def g_deriv(self, x: float) -> float:
         total = 0.0
-        for j, (a_j, b_j) in enumerate(self.fourier_coeffs, start=1):
-            angle = 2.0 * math.pi * j * x
-            freq = 2.0 * math.pi * j
+        for freq, (a_j, b_j) in zip(self._freqs, self.fourier_coeffs):
+            angle = freq * x
             total += freq * (-a_j * math.sin(angle) + b_j * math.cos(angle))
         return total
 
     def max_abs_g(self) -> float:
         """Amplitude of g over one period, by dense sampling (g is a low
-        order trigonometric polynomial, so this resolves the maximum)."""
+        order trigonometric polynomial, so this resolves the maximum).
+        The grid is summed as one array expression, harmonic by harmonic
+        as `g` sums; NumPy's cos and sin may differ from `math`'s in the
+        last bit, which only the amplitude guard of `solve_a` reads."""
         if self.is_zero:
             return 0.0
         grid = np.linspace(0.0, 1.0, G_SAMPLES, endpoint=False)
-        return max(abs(self.g(x)) for x in grid)
+        total = np.zeros_like(grid)
+        for freq, (a_j, b_j) in zip(self._freqs, self.fourier_coeffs):
+            angle = freq * grid
+            total += a_j * (np.cos(angle) - 1.0) + b_j * np.sin(angle)
+        return float(np.max(np.abs(total)))
 
     def fstar_value(self, t: float, log_q: float) -> float:
         return self.g(math.log(t) / log_q) / (t * t)
@@ -310,8 +321,15 @@ def solve_a(fstar: PerturbationF0, c: float, ctx: QFieldContext) -> DeformedF:
 
 
 def _positive_on_grid(fn, lo: float, hi: float) -> bool:
-    """Strict positivity of fn.value on a geometric grid of [lo, hi]."""
-    return all(fn.value(t) > 0.0 for t in np.geomspace(lo, hi, POSITIVITY_POINTS))
+    """Strict positivity of fn.value on a geometric grid of [lo, hi].
+
+    An integrated solution is read in batched runs (`state_runs`), and the
+    scan stops at the first run with a non-positive value, integrating no
+    further than a point-by-point scan would."""
+    grid = np.geomspace(lo, hi, POSITIVITY_POINTS)
+    if isinstance(fn, OdeFn):
+        return all(bool(np.all(states[:, 0] > 0.0)) for states in fn.state_runs(grid))
+    return all(fn.value(t) > 0.0 for t in grid)
 
 
 def eig_positivity(df: DeformedF) -> bool:

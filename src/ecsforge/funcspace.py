@@ -104,7 +104,16 @@ class _LogTimeSolution:
     with t = e^tau, in which the self-similar profiles become literally
     periodic coefficients.  Subclasses supply the right-hand side `_rhs` and
     the start state at t = 1; dense output segments are cached and extended
-    on demand in either direction.
+    on demand in either direction, and only ever appended, so the first
+    segment that covers a point never changes once it exists.
+
+    Each point is evaluated once: `_state` keeps the state of every t it
+    has read (read-only arrays, shared by `value` and `deriv` and by every
+    combination built on the solution).  `state_runs` evaluates an array
+    of points in order, laying down segments exactly as pointwise reads in
+    that order would, and reads each run of points that needs no further
+    integration in one dense-output call per segment.  The dense output is
+    elementwise, so either route gives the same bits.
     """
 
     def __init__(self, profile, init, *, rtol: float, atol: float) -> None:
@@ -112,10 +121,11 @@ class _LogTimeSolution:
         self.rtol = rtol
         self.atol = atol
         self._init = np.array(init)
+        self._init.setflags(write=False)
         self._lo = self._hi = 0.0
-        self._state_lo = self._init.copy()
-        self._state_hi = self._init.copy()
+        self._state_lo = self._state_hi = self._init
         self._segments: list[tuple[float, float, object]] = []
+        self._memo: dict[float, np.ndarray] = {}
 
     def _extend(self, tau: float) -> None:
         forward = tau > self._hi
@@ -140,16 +150,71 @@ class _LogTimeSolution:
             self._segments.append((target, start, sol.sol))
             self._lo, self._state_lo = target, end_state
 
-    def _state(self, t: float):
+    @staticmethod
+    def _log_time(t: float) -> float:
         if t <= 0:
             raise ValueError("solutions live on t > 0")
-        tau = math.log(t)
+        return math.log(t)
+
+    def _cover(self, tau: float) -> None:
         while not (self._lo <= tau <= self._hi):
             self._extend(tau)
-        for lo, hi, interp in self._segments:
-            if lo - 1e-12 <= tau <= hi + 1e-12:
-                return interp(tau)
-        return self._init  # tau is the base point and nothing was integrated yet
+
+    def _segment_of(self, tau: float) -> int:
+        """Index of the first segment that covers the covered log-time tau."""
+        return next(
+            index
+            for index, (lo, hi, _) in enumerate(self._segments)
+            if lo - 1e-12 <= tau <= hi + 1e-12
+        )
+
+    def _state(self, t: float) -> np.ndarray:
+        state = self._memo.get(t)
+        if state is None:
+            tau = self._log_time(t)
+            self._cover(tau)
+            if not self._segments:
+                # tau is the base point and nothing was integrated yet; not
+                # memoized, since later reads come from the first segment
+                return self._init
+            state = self._memo[t] = self._segments[self._segment_of(tau)][2](tau)
+            state.setflags(write=False)
+        return state
+
+    def state_runs(self, ts):
+        """The states at the points of `ts`, in order, as one read-only
+        (points, dim) array per run of points that the integration already
+        covers.  A run is evaluated only when the iteration reaches it, so a
+        caller that stops early integrates no further than pointwise reads
+        up to that point would have."""
+        taus = [self._log_time(t) for t in ts]
+        start = 0
+        while start < len(taus):
+            self._cover(taus[start])
+            stop = start + 1
+            while stop < len(taus) and self._lo <= taus[stop] <= self._hi:
+                stop += 1
+            yield self._evaluate(ts[start:stop], taus[start:stop])
+            start = stop
+
+    def _evaluate(self, ts, taus: list[float]) -> np.ndarray:
+        """States at covered points: one dense-output call per segment."""
+        if not self._segments:
+            # only the base point, nothing integrated yet; not memoized, as
+            # in `_state`, since later reads come from the first segment
+            states = np.tile(self._init, (len(taus), 1))
+            states.setflags(write=False)
+            return states
+        taus = np.array(taus)
+        owners = np.array([self._segment_of(tau) for tau in taus])
+        states = np.empty((len(taus), self._init.size))
+        for owner in np.unique(owners):
+            rows = np.flatnonzero(owners == owner)
+            states[rows] = self._segments[owner][2](taus[rows]).T
+        states.setflags(write=False)
+        for t, state in zip(ts, states):
+            self._memo.setdefault(float(t), state)
+        return states
 
 
 class OdeFn(_LogTimeSolution):

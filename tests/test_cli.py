@@ -151,8 +151,9 @@ def test_certificates_are_deterministic(tmp_path):
         (7, 4, ()),
         (5, 3, ((0.02, 0.01),)),
         (7, 5, ((0.01, -0.01), (0.02, 0.0))),
+        (7, 3, ((0.02, 0.01), (0.0, 0.01))),
     ],
-    ids=["5-3", "7-4", "5-3-deformed", "7-5-deformed"],
+    ids=["5-3", "7-4", "5-3-deformed", "7-5-deformed", "7-3-deformed"],
 )
 def test_certificate_matches_golden_file(n, p, coeffs):
     # The golden files pin every byte of a certificate, floats included, so
@@ -685,6 +686,15 @@ def test_search_even_bad_order_is_a_usage_error(capsys, m):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("bad --m: ")
+
+
+@pytest.mark.parametrize("k_max", ["-5", "0"])
+def test_search_even_bad_gap_bound_is_a_usage_error(capsys, k_max):
+    # below 1 no gap is scanned, so exit 0 would claim an empty search
+    assert main(["search-even", "--m", "2", "--k-max", k_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bad --k-max: ")
 
 
 def test_search_even_m2_small_range_exits_zero(capsys):

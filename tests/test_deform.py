@@ -28,6 +28,7 @@ from ecsforge.deform import (
 )
 from ecsforge.exact import QFieldContext
 from ecsforge.funcspace import (
+    LinCombFn,
     MonomialFn,
     OdeFn,
     ct_eigenbasis,
@@ -40,7 +41,7 @@ from ecsforge.funcspace import (
     w_basis,
     wronskian,
 )
-from ecsforge.model import ModelData, build_model
+from ecsforge.model import HomogeneousF, ModelData, build_model
 from ecsforge.spectral import standard_family
 
 CTX3 = QFieldContext(3)
@@ -248,6 +249,30 @@ def test_perturbation_vanishes_at_period_points():
         assert abs(fstar.fstar_value(Q3**j, log_q)) < 1e-13
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [((0.02, 0.01),), ((0.03, 0.0), (0.01, 0.02)), ((0.3, 0.7), (-0.2, 0.1), (0.05, -0.4))],
+)
+def test_perturbation_sums_match_the_per_harmonic_reference(coeffs):
+    # g and g' read each harmonic's frequency 2 pi j precomputed, grouped as
+    # the angle (2 pi j) x always was: the same bits as the plain loop
+    fstar = PerturbationF0(coeffs)
+
+    def g_ref(x):
+        return sum(
+            a * (math.cos(2.0 * math.pi * j * x) - 1.0) + b * math.sin(2.0 * math.pi * j * x)
+            for j, (a, b) in enumerate(coeffs, start=1)
+        )
+
+    grid = np.linspace(0.0, 1.0, deform.G_SAMPLES, endpoint=False)
+    for x in (0.0, 0.13, 0.5, 0.77, -1.3, 2.6):
+        assert fstar.g(x) == g_ref(x)
+    # max|g| is one array expression; NumPy's cos and sin may differ from
+    # math's in the last bit, so the bound is a few ulp of the amplitude
+    reference = max(abs(g_ref(x)) for x in grid)
+    assert fstar.max_abs_g() == pytest.approx(reference, rel=16 * np.finfo(float).eps)
+
+
 # ---------------------------------------------------------------------------
 # positivity
 
@@ -257,6 +282,28 @@ def test_positive_grid_rejects_negated_function():
     # normalized to y(1) = 1
     assert _positive_on_grid(MonomialFn(1, -2), 1.0 / Q3, Q3)
     assert not _positive_on_grid(MonomialFn(-1, -2), 1.0 / Q3, Q3)
+
+
+def test_positive_grid_reads_integrated_eigenfunctions():
+    pair = solve_a(PerturbationF0(((0.05, 0.0),)), 2.5, CTX3).eigenpair
+    for y in pair:
+        assert _positive_on_grid(y, 1.0 / Q3, Q3)
+        assert not _positive_on_grid(LinCombFn((y,), (-1.0,)), 1.0 / Q3, Q3)
+
+
+def test_failing_positivity_scan_integrates_no_further_than_pointwise():
+    # y = (8 t**-2 - 3 t**3) / 5 solves y'' = 6 t**-2 y and changes sign at
+    # t = (8/3)**(1/5) ~ 1.22, inside [1/q, q]: the batched scan must stop
+    # where a point-by-point scan stops, leaving the same segments behind
+    # for every later read
+    profile = HomogeneousF(5)
+    grid = np.geomspace(1.0 / Q3, Q3, deform.POSITIVITY_POINTS)
+    scanned, pointwise, whole = (OdeFn(profile, 1.0, -5.0) for _ in range(3))
+    assert not _positive_on_grid(scanned, 1.0 / Q3, Q3)
+    assert not all(pointwise.value(t) > 0.0 for t in grid)
+    assert [seg[:2] for seg in scanned._segments] == [seg[:2] for seg in pointwise._segments]
+    list(whole.state_runs(grid))
+    assert whole._hi > scanned._hi  # reading the whole grid integrates further
 
 
 def test_eig_positivity_unperturbed_and_perturbed():

@@ -6,6 +6,7 @@ zero-start forced solution -1/6 + t**-2/10 + t**3/15), the constant
 Wronskian k, and the anti-diagonal +-k Omega table.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecsforge import funcspace
 from ecsforge.funcspace import (
     ESolution,
     ForcedOdeFn,
@@ -104,6 +106,67 @@ def test_forced_ode_frozen_solution():
     assert forced.value(1.0) == pytest.approx(0.0, abs=1e-13)
     # the co-integrated source is t**-2
     assert float(forced._state(2.0)[0]) == pytest.approx(0.25, rel=1e-11)
+
+
+# read after a grid over one period of p = 3; repeats and points outside
+# the grid's span included
+EVAL_POINTS = (1.0, 0.5, 2.3, 1.0, 0.37, 1.7, 3.9, 0.5, 0.21)
+
+
+@pytest.fixture(scope="module")
+def deformed_profile():
+    return solve_a(PerturbationF0(((0.02, 0.01),)), 2.5, QFieldContext(3))
+
+
+def _fresh_solutions(profile):
+    """A deformed eigenpair member and a forced solution, nothing integrated
+    yet; a copy of the profile builds its own eigenpair."""
+    return dataclasses.replace(profile).eigenpair[0], ForcedOdeFn(profile, 1.0, 0.3)
+
+
+def _count_solve_ivp(monkeypatch):
+    calls = []
+    real = funcspace.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(funcspace, "solve_ivp", counted)
+    return calls
+
+
+def test_memoized_and_batched_reads_are_bit_identical(deformed_profile, monkeypatch):
+    # The same reads in the same order, once point by point on fresh
+    # instances and once with repeats and the grid batched: every state,
+    # value and derivative must agree bit for bit, from the same integrations
+    grid = np.geomspace(0.4, 2.5, 97)
+    references, warmed = _fresh_solutions(deformed_profile), _fresh_solutions(deformed_profile)
+    calls = _count_solve_ivp(monkeypatch)
+    for ref, warm in zip(references, warmed):
+        start = len(calls)
+        ref_base = (ref.value(1.0), ref.deriv(1.0))  # the start data, nothing integrated
+        ref_grid = np.array([ref._state(t) for t in grid])
+        ref_points = [(ref.value(t), ref.deriv(t)) for t in EVAL_POINTS]
+        ref_spans = calls[start:]
+
+        start = len(calls)
+        warm_base = [(warm.value(1.0), warm.deriv(1.0)) for _ in range(2)]
+        runs = list(warm.state_runs(grid))
+        warm_grid = np.concatenate(list(warm.state_runs(grid)))
+        warm_points = [[(warm.value(t), warm.deriv(t)) for t in EVAL_POINTS] for _ in range(2)]
+        assert calls[start:] == ref_spans
+        assert len(runs) > 1  # the grid spans several extensions
+
+        assert warm_base == [ref_base, ref_base]
+        assert np.array_equal(np.concatenate(runs), ref_grid)
+        assert np.array_equal(warm_grid, ref_grid)
+        assert warm_points == [ref_points, ref_points]
+        assert warm._state(0.5) is warm._state(0.5)  # read once, then memoized
+        for state in (warm._state(0.5), runs[0]):
+            assert not state.flags.writeable
+            with pytest.raises(ValueError):
+                state[0] = 0.0
 
 
 @settings(max_examples=60, deadline=None)
