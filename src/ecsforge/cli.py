@@ -630,6 +630,14 @@ def build_certificate(
 
 
 def cmd_certify(args) -> int:
+    if args.samples < 1:
+        # no section would draw a point, and the certificate would pass
+        # with nothing sampled (curvature's minimum norm reads Infinity)
+        print(
+            f"bad --samples: at least one draw per section is needed, got {args.samples}",
+            file=sys.stderr,
+        )
+        return 2
     path = Path(args.model)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))

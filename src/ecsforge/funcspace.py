@@ -445,6 +445,19 @@ class ESolution:
             out[idx] += fn.deriv(t)
         return out
 
+    def slot_states(self, t: float) -> tuple[dict[int, float], dict[int, float]]:
+        """(values, derivatives) at t on the slots this solution carries,
+        keyed in ascending slot order.  Each component is read once, in
+        stored order, and each slot sums its components from 0.0, as
+        `value` and `deriv` do."""
+        values: dict[int, float] = {}
+        derivs: dict[int, float] = {}
+        for idx, fn in self.components:
+            values[idx] = values.get(idx, 0.0) + fn.value(t)
+            derivs[idx] = derivs.get(idx, 0.0) + fn.deriv(t)
+        slots = sorted(values)
+        return {i: values[i] for i in slots}, {i: derivs[i] for i in slots}
+
     def scaled(self, factor: float) -> "ESolution":
         comps = tuple(
             (idx, LinCombFn((fn,), (factor,))) for idx, fn in self.components
@@ -473,21 +486,52 @@ def ct_eigenbasis(model: ModelData) -> tuple[ESolution, ...]:
     return tuple(basis)
 
 
+def _pairing(model: ModelData, x: dict[int, float], y: dict[int, float]) -> float:
+    """<x, y> for vectors stored by slot (`ESolution.slot_states`).
+
+    <x, y> = eps * sum_i x_i y_(m-1-i); only the slots i that x carries
+    with a partner m-1-i that y carries contribute, summed in ascending i
+    from 0.0.  The dense sum adds only exact zeros beyond these terms, and
+    its running sum is never -0.0, so both give the same bits.
+    """
+    partner = model.m - 1
+    total = 0.0
+    for i, x_i in x.items():
+        if partner - i in y:
+            total += x_i * y[partner - i]
+    return model.eps * total
+
+
+def _omega_from_states(model: ModelData, u_states, v_states) -> float:
+    (u_val, u_der), (v_val, v_der) = u_states, v_states
+    return _pairing(model, u_der, v_val) - _pairing(model, u_val, v_der)
+
+
 def omega(model: ModelData, u: ESolution, v: ESolution, t: float = 1.0) -> float:
     """Omega(u, v) = <u'(t), v(t)> - <u(t), v'(t)>; t-independent because A
-    is self-adjoint for the anti-diagonal inner product."""
-    return model.inner(u.deriv(t), v.value(t)) - model.inner(u.value(t), v.deriv(t))
+    is self-adjoint for the anti-diagonal inner product.  Read from the
+    slots each solution carries (`_pairing`)."""
+    return _omega_from_states(model, u.slot_states(t), v.slot_states(t))
 
 
 def omega_matrix(model: ModelData, basis: Sequence[ESolution], t: float = 1.0) -> np.ndarray:
-    """Omega on every pair of `basis`, each solution evaluated once at t."""
-    values = [u.value(t) for u in basis]
-    derivs = [u.deriv(t) for u in basis]
-    size = len(basis)
-    out = np.zeros((size, size))
-    for i in range(size):
-        for j in range(size):
-            out[i, j] = model.inner(derivs[i], values[j]) - model.inner(values[i], derivs[j])
+    """Omega on every pair of `basis`, each solution evaluated once at t.
+
+    Only the pairs (u, v) where v carries the partner m-1-i of a slot i of
+    u are visited; every other entry is the exact 0.0 the full pairing
+    gives, since no term of either inner product survives there.
+    """
+    states = [u.slot_states(t) for u in basis]
+    carriers: dict[int, list[int]] = {}
+    for index, (values, _) in enumerate(states):
+        for slot in values:
+            carriers.setdefault(slot, []).append(index)
+    partner = model.m - 1
+    out = np.zeros((len(basis), len(basis)))
+    for i, u_states in enumerate(states):
+        visits = {j for slot in u_states[0] for j in carriers.get(partner - slot, ())}
+        for j in visits:
+            out[i, j] = _omega_from_states(model, u_states, states[j])
     return out
 
 

@@ -34,7 +34,7 @@ from .exact import (
     companion_matrix,
     det_int,
 )
-from .funcspace import ESolution, LinCombFn, ct_eigenbasis, ct_image, omega
+from .funcspace import ESolution, LinCombFn, ct_eigenbasis, ct_image, omega, omega_matrix
 from .model import ModelData
 
 __all__ = [
@@ -371,6 +371,12 @@ class LatticeSigma:
         return log_q * np.outer(self.y_exponents, range(self.size))
 
     @cached_property
+    def xi_column(self) -> tuple[int, ...]:
+        """Xi's last column: with the companion pattern below it, the whole
+        of Xi, and the column `intertwining_failures` checks against Phi."""
+        return tuple(row[-1] for row in self.xi)
+
+    @cached_property
     def _integer_rows(self) -> tuple:
         """Each row of Phi as (a-numerators, b-numerators, denominator):
         entry j of the row is (a[j] + b[j] sqrt(d)) / denominator, with one
@@ -460,7 +466,7 @@ def intertwining_failures(sigma: LatticeSigma) -> tuple[str, ...]:
         if xi[i][j] != int(i == j + 1)
     ]
     if not failures:
-        last = _lattice_column(sigma, [row[-1] for row in xi])
+        last = _lattice_column(sigma, sigma.xi_column)
         for i in range(size):
             for j in range(size):
                 lhs = pi[i][i] * phi[i][j]
@@ -552,9 +558,8 @@ def certify_ace(model: ModelData, lagrangian: LagrangianL) -> dict:
 
     d_numeric_max = 0.0
     for t in OMEGA_TS:
-        for u in lagrangian.basis:
-            for w in lagrangian.basis:
-                d_numeric_max = max(d_numeric_max, abs(omega(model, u, w, t)))
+        table = omega_matrix(model, lagrangian.basis, t)
+        d_numeric_max = max(d_numeric_max, float(np.max(np.abs(table))))
 
     e_min_diagonal = math.inf
     e_max_condition = 0.0
@@ -604,11 +609,24 @@ def normal_form(sigma: LatticeSigma, word: Sequence) -> tuple[int, tuple[int, ..
 
 
 def xi_power(sigma: LatticeSigma, vector: Sequence, exponent: int) -> tuple:
-    """Xi**exponent applied to an integer or rational vector, exactly."""
-    matrix = sigma.xi if exponent > 0 else sigma.xi_inverse
-    for _ in range(abs(exponent)):
-        vector = [sum(a * x for a, x in zip(row, vector)) for row in matrix]
-    return tuple(vector)
+    """Xi**exponent applied to an integer or rational vector, exactly, in
+    O(size) per power from Xi's verified last column c alone.
+
+    Xi is the companion matrix: Xi v shifts v down one place and adds
+    v_last * c.  Inverting that, Xi**-1 v has last entry v_0 / c_0 and
+    entries v_(i+1) - c_(i+1) * (v_0 / c_0) above it; c_0 = +-1 because
+    det Xi = +-c_0 is a unit, so dividing by c_0 is multiplying by it and
+    integers stay integers.
+    """
+    column = sigma.xi_column
+    vector = tuple(vector)
+    for _ in range(exponent):
+        last = vector[-1]
+        vector = (column[0] * last, *(x + c * last for x, c in zip(vector, column[1:])))
+    for _ in range(-exponent):
+        last = vector[0] * column[0]
+        vector = (*(x - c * last for x, c in zip(vector[1:], column[1:])), last)
+    return vector
 
 
 def _slope(lagrangian: LagrangianL, coeffs, t: float) -> np.ndarray:

@@ -152,8 +152,10 @@ def test_certificates_are_deterministic(tmp_path):
         (5, 3, ((0.02, 0.01),)),
         (7, 5, ((0.01, -0.01), (0.02, 0.0))),
         (7, 3, ((0.02, 0.01), (0.0, 0.01))),
+        (9, 5, ()),
+        (11, 5, ()),
     ],
-    ids=["5-3", "7-4", "5-3-deformed", "7-5-deformed", "7-3-deformed"],
+    ids=["5-3", "7-4", "5-3-deformed", "7-5-deformed", "7-3-deformed", "9-5", "11-5"],
 )
 def test_certificate_matches_golden_file(n, p, coeffs):
     # The golden files pin every byte of a certificate, floats included, so
@@ -326,16 +328,26 @@ def test_power_law_verdict_grid_at_seed_0():
     assert sum(not cell for cell in observed.values()) == 12
 
 
+# The deformed p = 3 row with DEFORMED_PAIR: the failing sections of
+# build_certificate(samples=5, seed=0), one cell per n = 5, 7, ..., 25.
+# eig is eigenbasis and B condition-b; 4 of 11 are green.  As with the
+# power-law grid, a cell that changes colour fails the test until the row
+# is updated with it.
+DEFORMED_VERDICT_ROW = (
+    ["ok", "ok", "ok", "iso", "ok", "eig", "eig omega", "eig omega"]
+    + ["eig omega E iso"] * 2
+    + ["eig omega B E iso"]
+)
+DEFORMED_CELLS = {**GRID_CELLS, "eig": "eigenbasis", "B": "condition-b"}
+
+
 def test_deformed_verdict_row_is_observed():
-    """Observational, not gating: the deformed p = 3 row with DEFORMED_PAIR,
-    n = 5..25, must certify every section without a crash, and its failing
-    sections are printed.  At seed 0 today: green at n = 5, 7, 9 and 13;
-    isometry at 11; eigenbasis at 15; eigenbasis and omega-table at 17 and
-    19; eigenbasis, omega-table, condition-e and isometry at 21 and 23; and
-    those four plus condition-b at 25."""
-    for n in range(5, 27, 2):
-        cert = build_certificate(_deformed_model(n, 3), samples=5, seed=0)
-        print(f"deformed ({n},3): {sorted(_failing(cert)) or 'green'}")
+    observed, expected = {}, {}
+    for n, cell in zip(range(5, 27, 2), DEFORMED_VERDICT_ROW, strict=True):
+        observed[n] = _failing(build_certificate(_deformed_model(n, 3), samples=5, seed=0))
+        expected[n] = {DEFORMED_CELLS[c] for c in cell.split() if c != "ok"}
+    assert observed == expected
+    assert sum(not cell for cell in observed.values()) == 4
 
 
 def _curvature_section(model, samples=5, seed=0):
@@ -649,6 +661,22 @@ def test_malformed_tolerance_json_exits_2(tmp_path, capsys):
         assert "bad --tol-overrides" in err and "unknown" not in err, overrides
     # an integer is a number
     assert main(["certify", str(out), "--samples", "1", "--tol-overrides", '{"isometry": 1}']) == 0
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_certify_without_samples_is_a_usage_error(tmp_path, capsys, samples):
+    # with no draw, curvature, isometry and canonicalize-orbit would pass
+    # on nothing, and the certificate would hold a non-JSON Infinity
+    out = generate(tmp_path)
+    capsys.readouterr()
+    target = tmp_path / "cert.json"
+    assert main(["certify", str(out), "--samples", samples, "--out", str(target)]) == 2
+    assert main(["certify", str(out), "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bad --samples: ")
+    assert not target.exists()
+    assert not (tmp_path / "model.certificate.json").exists()
 
 
 def test_build_certificate_rejects_unknown_keys_directly():

@@ -41,6 +41,16 @@ from ecsforge.funcspace import (
 from ecsforge.deform import PerturbationF0, solve_a
 from ecsforge.exact import QFieldContext
 from ecsforge.model import HomogeneousF, build_model
+from ecsforge.quotient import (
+    OMEGA_TS,
+    build_lagrangian,
+    build_lattice,
+    h_mul,
+    lattice_element,
+    make_gamma_hat,
+    pi_apply_numeric,
+    pi_map,
+)
 from ecsforge.spectral import standard_family
 
 
@@ -286,22 +296,51 @@ def test_omega_worked_example():
     assert omega(model, basis[4], basis[5]) == pytest.approx(0.0, abs=1e-12)
 
 
+def dense_omega_matrix(model, sols, t):
+    """The full pairing: each solution expanded to dense m-vectors, and
+    <x, y> taken over all m index pairs for every pair of solutions."""
+    values = [u.value(t) for u in sols]
+    derivs = [u.deriv(t) for u in sols]
+    return np.array(
+        [
+            [model.inner(du, v) - model.inner(u, dv) for v, dv in zip(values, derivs)]
+            for u, du in zip(values, derivs)
+        ]
+    )
+
+
 @pytest.mark.parametrize("deformed", [False, True])
 @pytest.mark.parametrize("r, p", [(3, 3), (4, 5), (6, 5)])
 def test_omega_matrix_is_the_pairwise_omega(r, p, deformed):
-    # omega_matrix evaluates each solution once per t; every entry must still
-    # be, bit for bit, omega() on that pair
+    # the component route sums only the slot pairs both solutions carry;
+    # the dense route adds exact zeros beyond them, so every entry, zeros
+    # included, must carry the same bits: on eigenbasis members, their CT
+    # images, lattice elements, their products and their CT images, at the
+    # t of the Omega-scaling check and of certify_ace's D check
     system = standard_family(r)
     profile = None
     if deformed:
         profile = solve_a(PerturbationF0(((0.02, 0.01),)), system.k / 2.0, QFieldContext(p))
-    model = build_model(system, p=p, f=profile)
+    model = build_model(system, p=p, f=profile, eps=-1 if r % 2 else 1)
     basis = ct_eigenbasis(model)
-    images = [ct_image(model, u) for u in basis]
-    for t in (1.0, 1.6, 2.3):
-        for sols in (basis, images):
-            pairwise = np.array([[omega(model, u, v, t) for v in sols] for u in sols])
-            assert (omega_matrix(model, sols, t) == pairwise).all()
+    lagrangian = build_lagrangian(model, basis)
+    sigma = build_lattice(model, pi_map(model, make_gamma_hat(model), lagrangian))
+    rng = np.random.default_rng(r * 10 + p)
+    elements = [
+        lattice_element(sigma, tuple(int(c) for c in rng.integers(-2, 3, sigma.size)), lagrangian)
+        for _ in range(3)
+    ]
+    elements.append(h_mul(elements[0], elements[1]))
+    lattice_sols = [e.u for e in elements if e.u is not None]
+    lattice_sols += [pi_apply_numeric(model, None, e).u for e in elements if e.u is not None]
+    families = (basis, [ct_image(model, u) for u in basis], lattice_sols, [*basis[:3], *lattice_sols])
+    for t in sorted({*funcspace.OMEGA_SCALING_TS, *OMEGA_TS}):
+        for sols in families:
+            dense = dense_omega_matrix(model, sols, t)
+            assert omega_matrix(model, sols, t).tobytes() == dense.tobytes(), (t, len(sols))
+            for u, row in zip(sols, dense):
+                for v, entry in zip(sols, row):
+                    assert np.float64(omega(model, u, v, t)).tobytes() == entry.tobytes()
 
 
 def test_omega_antisymmetry():

@@ -49,6 +49,7 @@ from ecsforge.quotient import (
     pi_apply_numeric,
     pi_map,
     point_from_coordinates,
+    xi_power,
 )
 from ecsforge.spectral import standard_family
 
@@ -742,6 +743,40 @@ def reference_xi_power(sigma, vector, exponent):
     xi = sigma.xi if exponent >= 0 else sigma.xi_inverse
     power = np.linalg.matrix_power(np.array(xi, dtype=object), abs(exponent))
     return tuple(power @ np.array(vector, dtype=object))
+
+
+def _xi_power_vectors(sigma, rng):
+    ints = tuple(int(c) for c in rng.integers(-9, 10, sigma.size))
+    rationals = tuple(Fraction(int(a), int(b)) for a, b in rng.integers(1, 97, (sigma.size, 2)))
+    return ints, rationals, tuple(-x for x in rationals)
+
+
+def test_xi_power_matches_the_dense_matrix_powers_on_all_models():
+    # the companion route reads only Xi's last column; it must give the
+    # dense products' values and types, ints staying ints
+    rng = np.random.default_rng(21)
+    for r, p in ALL_MODELS:
+        sigma = lattice_for(r, p)[0]
+        for vector in _xi_power_vectors(sigma, rng):
+            for exponent in range(-3, 4):
+                got = xi_power(sigma, vector, exponent)
+                want = reference_xi_power(sigma, vector, exponent)
+                assert got == want, (r, p, exponent)
+                assert [type(x) for x in got] == [type(x) for x in want], (r, p, exponent)
+
+
+def test_xi_power_reads_only_the_verified_column():
+    # a corrupted stored Xi^-1 changes the dense reference but not
+    # xi_power, which inverts Xi from the column intertwining_failures checks
+    rng = np.random.default_rng(22)
+    for r, p in ((3, 3), (6, 4), (13, 5)):
+        sigma = lattice_for(r, p)[0]
+        garbage = tuple(tuple(2 * x + 1 for x in row) for row in sigma.xi_inverse)
+        corrupted = replace(sigma, xi_inverse=garbage)
+        for vector in _xi_power_vectors(sigma, rng):
+            for exponent in range(-3, 4):
+                assert xi_power(corrupted, vector, exponent) == xi_power(sigma, vector, exponent)
+            assert reference_xi_power(corrupted, vector, -1) != xi_power(sigma, vector, -1)
 
 
 def test_canonicalize_cell_and_word_identity_on_all_models():
