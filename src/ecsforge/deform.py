@@ -165,10 +165,6 @@ class DeformedF:
         """Gap seen by the model layer; equals the system gap when 2c does."""
         return 2 * self.c
 
-    @property
-    def log_q(self) -> float:
-        return self._log_q
-
     def value(self, t: float) -> float:
         base = (self.a_solved * self.a_solved - 0.25) / (t * t)
         return base + self.perturbation.fstar_value(t, self._log_q)
@@ -226,10 +222,11 @@ class DeformedF:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "DeformedF":
+        pairs = tuple(tuple(pair) for pair in data["fourier"])
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValueError(f"Fourier pairs need exactly two entries, got {pairs!r}")
         return cls(
-            perturbation=PerturbationF0(
-                tuple((pair[0], pair[1]) for pair in data["fourier"])
-            ),
+            perturbation=PerturbationF0(pairs),
             c=float(data["c"]),
             a_solved=float(data["a_solved"]),
             target_trace=float(data["target_trace"]),
@@ -320,16 +317,15 @@ def solve_a(fstar: PerturbationF0, c: float, ctx: QFieldContext) -> DeformedF:
     )
 
 
-def _positive_on_grid(fn, lo: float, hi: float) -> bool:
-    """Strict positivity of fn.value on a geometric grid of [lo, hi].
+def _positive_on_grid(fn: OdeFn, lo: float, hi: float) -> bool:
+    """Strict positivity of the integrated solution fn on a geometric grid
+    of [lo, hi].
 
-    An integrated solution is read in batched runs (`state_runs`), and the
-    scan stops at the first run with a non-positive value, integrating no
-    further than a point-by-point scan would."""
+    The grid is read in batched runs (`state_runs`), and the scan stops at
+    the first run with a non-positive value, integrating no further than a
+    point-by-point scan would."""
     grid = np.geomspace(lo, hi, POSITIVITY_POINTS)
-    if isinstance(fn, OdeFn):
-        return all(bool(np.all(states[:, 0] > 0.0)) for states in fn.state_runs(grid))
-    return all(fn.value(t) > 0.0 for t in grid)
+    return all(bool(np.all(states[:, 0] > 0.0)) for states in fn.state_runs(grid))
 
 
 def eig_positivity(df: DeformedF) -> bool:

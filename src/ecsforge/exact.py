@@ -46,9 +46,10 @@ class QFieldElement:
     `a` and `b`.  Instances are immutable: assigning an attribute raises
     AttributeError.
 
-    d being a non-square is what makes the exact sign test well defined:
-    a**2 == b**2 * d is impossible for nonzero integers a, b, so comparing
-    the two squares always decides which of |a| and |b|*sqrt(d) is larger.
+    d being a non-square is what makes that triple unique: sqrt(d) is then
+    irrational, so a + b*sqrt(d) = 0 forces a = b = 0, two triples in
+    lowest terms name the same number only when they are equal, and
+    `__eq__` compares the integers alone.
 
     d is checked once, when an element is built by this public constructor
     or by `QFieldContext`; a square or non-positive d raises ValueError.
@@ -195,36 +196,10 @@ class QFieldElement:
         return _new(self.int_a, -self.int_b, self.den, self.d)
 
     @property
-    def norm(self) -> Fraction:
-        """Field norm a**2 - d*b**2 (multiplicative; zero only at zero)."""
-        a, b = self.int_a, self.int_b
-        return Fraction(a * a - self.d * b * b, self.den * self.den)
-
-    @property
     def is_zero(self) -> bool:
         return self.int_a == 0 and self.int_b == 0
 
-    def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d), decided without square roots.
-
-        With mixed signs of a and b the question reduces to |a| vs
-        |b|*sqrt(d), i.e. to comparing a**2 with b**2*d; ties are impossible
-        because d is a non-square.  The positive den does not change signs.
-        """
-        a, b = self.int_a, self.int_b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        lhs = a * a
-        rhs = b * b * self.d
-        if a > 0:  # then b < 0
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
-
-    # -- comparisons ---------------------------------------------------------
+    # -- equality ------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         # both sides are in lowest terms, so equal values have equal integers
@@ -244,35 +219,6 @@ class QFieldElement:
                 and self.den == other.denominator
             )
         return NotImplemented
-
-    def __hash__(self) -> int:
-        if self.int_b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
-
-    def __lt__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __le__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
 
     # -- conversions -----------------------------------------------------------
 

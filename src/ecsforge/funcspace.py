@@ -107,6 +107,9 @@ class _LogTimeSolution:
     on demand in either direction, and only ever appended, so the first
     segment that covers a point never changes once it exists.
 
+    `value` and `deriv` are defined here, once: y sits in the state at the
+    index `_component` that each subclass sets, and w = t y' right after.
+
     Each point is evaluated once: `_state` keeps the state of every t it
     has read (read-only arrays, shared by `value` and `deriv` and by every
     combination built on the solution).  `state_runs` evaluates an array
@@ -181,6 +184,12 @@ class _LogTimeSolution:
             state.setflags(write=False)
         return state
 
+    def value(self, t: float) -> float:
+        return float(self._state(t)[self._component])
+
+    def deriv(self, t: float) -> float:
+        return float(self._state(t)[self._component + 1]) / t
+
     def state_runs(self, ts):
         """The states at the points of `ts`, in order, as one read-only
         (points, dim) array per run of points that the integration already
@@ -220,6 +229,8 @@ class _LogTimeSolution:
 class OdeFn(_LogTimeSolution):
     """A solution of y'' = f(t) y with y(1) = y0, y'(1) = dy0."""
 
+    _component = 0
+
     def __init__(
         self, profile, y0: float, dy0: float, *, rtol: float = ODE_RTOL, atol: float = ODE_ATOL
     ) -> None:
@@ -228,12 +239,6 @@ class OdeFn(_LogTimeSolution):
     def _rhs(self, tau: float, state):
         t = math.exp(tau)
         return (state[1], state[1] + t * t * self.profile.value(t) * state[0])
-
-    def value(self, t: float) -> float:
-        return float(self._state(t)[0])
-
-    def deriv(self, t: float) -> float:
-        return float(self._state(t)[1]) / t
 
 
 class ForcedOdeFn(_LogTimeSolution):
@@ -244,6 +249,8 @@ class ForcedOdeFn(_LogTimeSolution):
     system, which sidesteps any interpolation of the source into the
     quadrature."""
 
+    _component = 2
+
     def __init__(self, profile, source_y0: float, source_dy0: float) -> None:
         init = [float(source_y0), float(source_dy0), 0.0, 0.0]
         super().__init__(profile, init, rtol=ODE_RTOL, atol=ODE_ATOL)
@@ -253,12 +260,6 @@ class ForcedOdeFn(_LogTimeSolution):
         t2f = t * t * self.profile.value(t)
         y, wy, x, wx = state
         return (wy, wy + t2f * y, wx, wx + t2f * x + t * t * y)
-
-    def value(self, t: float) -> float:
-        return float(self._state(t)[2])
-
-    def deriv(self, t: float) -> float:
-        return float(self._state(t)[3]) / t
 
 
 @dataclass(frozen=True)

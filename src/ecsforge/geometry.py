@@ -103,10 +103,6 @@ class MetricPatch:
     kappa_factor: tuple[Callable[[float], float], Callable[[float], float]] | None = None
 
     @property
-    def m(self) -> int:
-        return self.model.m
-
-    @property
     def n(self) -> int:
         return self.model.m + 2
 

@@ -165,6 +165,8 @@ def load_model_lenient(data: Mapping) -> ModelData:
     report broken invariants as failing sections instead of refusing the
     file.  Structural unreadability (wrong schema, missing keys, unknown
     profile) still raises."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a model file must hold a JSON object, not a {type(data).__name__}")
     if data.get("schema") != "ecs-forge/1":
         raise ValueError(f"unsupported schema {data.get('schema')!r}")
     sys_data = data["system"]
@@ -175,6 +177,8 @@ def load_model_lenient(data: Mapping) -> ModelData:
         J=tuple(sys_data["J"]),
     )
     f_data = data["f"]
+    if not isinstance(f_data, Mapping):
+        raise ValueError(f"profile 'f' must be a JSON object, not a {type(f_data).__name__}")
     decoder = PROFILE_DECODERS.get(f_data.get("variant"))
     if decoder is None:
         raise ValueError(f"unknown profile variant {f_data.get('variant')!r}")

@@ -49,7 +49,6 @@ __all__ = [
     "act",
     "act_inverse",
     "act_jacobian",
-    "act_power",
     "h_mul",
     "h_inverse",
     "pi_map",
@@ -85,11 +84,14 @@ class GammaHat:
 
 @dataclass(frozen=True)
 class HElement:
-    """An element (r, u) of the Heisenberg group H = R x E."""
+    """An element (r, u) of the Heisenberg group H = R x E.
+
+    The E-part u is always a solution; a central element (r, 0) carries the
+    empty one, `ESolution(m, ())`."""
 
     model: ModelData
     r: float
-    u: ESolution | None = None
+    u: ESolution
 
 
 def make_gamma_hat(model: ModelData) -> GammaHat:
@@ -123,8 +125,6 @@ def act(element: GammaHat | HElement, point) -> tuple:
         return (q * t, s / q, _apply_scaling(model, v))
     if isinstance(element, HElement):
         model = element.model
-        if element.u is None:
-            return (t, s + element.r, v)
         ut = element.u.value(t)
         wt = element.u.deriv(t)
         return (t, -model.inner(wt, 2 * v + ut) + element.r + s, v + ut)
@@ -141,14 +141,6 @@ def act_inverse(element: GammaHat | HElement, point) -> tuple:
     q = float(model.context().q)
     v1 = np.asarray(v1, dtype=float)
     return (t1 / q, q * s1, _apply_scaling(model, v1, invert=True))
-
-
-def act_power(element: GammaHat | HElement, point, exponent: int) -> tuple:
-    """Apply element**exponent to a point: `act` exponent times, or
-    `act_inverse` -exponent times."""
-    for _ in range(abs(exponent)):
-        point = act(element, point) if exponent > 0 else act_inverse(element, point)
-    return point
 
 
 def act_jacobian(element: GammaHat | HElement, point) -> np.ndarray:
@@ -181,14 +173,13 @@ def act_jacobian(element: GammaHat | HElement, point) -> np.ndarray:
         jac[0, 0] = 1.0
         jac[1, 1] = 1.0
         jac[2:, 2:] = np.eye(m)
-        if element.u is not None:
-            hmat = np.array(model.h_rows(), dtype=float)
-            ut = np.asarray(element.u.value(t), dtype=float)
-            wt = np.asarray(element.u.deriv(t), dtype=float)
-            acc = float(model.f.value(t)) * ut + np.array(model.apply_shift(ut))
-            jac[1, 0] = -(model.inner(acc, 2 * v + ut) + model.inner(wt, wt))
-            jac[1, 2:] = -2.0 * (hmat @ wt)
-            jac[2:, 0] = wt
+        hmat = np.array(model.h_rows(), dtype=float)
+        ut = np.asarray(element.u.value(t), dtype=float)
+        wt = np.asarray(element.u.deriv(t), dtype=float)
+        acc = float(model.f.value(t)) * ut + np.array(model.apply_shift(ut))
+        jac[1, 0] = -(model.inner(acc, 2 * v + ut) + model.inner(wt, wt))
+        jac[1, 2:] = -2.0 * (hmat @ wt)
+        jac[2:, 0] = wt
         return jac
     raise TypeError(f"cannot act by {type(element).__name__}")
 
@@ -196,21 +187,13 @@ def act_jacobian(element: GammaHat | HElement, point) -> np.ndarray:
 def h_mul(left: HElement, right: HElement) -> HElement:
     """(r, u)(r', u') = (Omega(u', u) + r + r', u + u')."""
     model = left.model
-    twist = 0.0
-    if left.u is not None and right.u is not None:
-        twist = omega(model, right.u, left.u)
-    if left.u is None:
-        combined = right.u
-    elif right.u is None:
-        combined = left.u
-    else:
-        combined = _combine(model.m, [(1.0, left.u), (1.0, right.u)])
+    twist = omega(model, right.u, left.u)
+    combined = _combine(model.m, [(1.0, left.u), (1.0, right.u)])
     return HElement(model, twist + left.r + right.r, combined)
 
 
 def h_inverse(element: HElement) -> HElement:
-    inv_u = element.u.scaled(-1.0) if element.u is not None else None
-    return HElement(element.model, -element.r, inv_u)
+    return HElement(element.model, -element.r, element.u.scaled(-1.0))
 
 
 def holonomy_scaling(element: GammaHat | HElement) -> QFieldElement:
@@ -273,8 +256,7 @@ def pi_map(model: ModelData, gamma_hat: GammaHat, lagrangian: LagrangianL):
 
 def pi_apply_numeric(model: ModelData, gamma_hat: GammaHat, element: HElement) -> HElement:
     """Pi as a map on actual group elements, for cross-checking the matrix."""
-    moved = ct_image(model, element.u) if element.u is not None else None
-    return HElement(model, element.r / float(model.context().q), moved)
+    return HElement(model, element.r / float(model.context().q), ct_image(model, element.u))
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +490,7 @@ def lattice_element(
         for j in range(len(lagrangian.basis))
         if not column[j + 1].is_zero
     ]
-    u_part = _combine(sigma.model.m, terms) if terms else None
-    return HElement(sigma.model, r_part, u_part)
+    return HElement(sigma.model, r_part, _combine(sigma.model.m, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +655,9 @@ def canonicalize(
         raise ValueError("points live on t > 0")
     q = float(gamma_hat.model.context().q)
     r = -math.floor(math.log(t) / math.log(q))
-    current = act_power(gamma_hat, (t, s, np.asarray(v, dtype=float)), r)
+    current = (t, s, np.asarray(v, dtype=float))
+    for _ in range(abs(r)):
+        current = act(gamma_hat, current) if r > 0 else act_inverse(gamma_hat, current)
 
     t1, w = fundamental_coordinates(current, sigma, lagrangian)
     shift = np.floor(w).astype(int)

@@ -581,6 +581,35 @@ def test_wrong_schema_exits_3(tmp_path):
     assert main(["certify", str(bad)]) == 3
 
 
+def _set_first_pair(pair):
+    def edit(data):
+        data["f"]["fourier"][0] = pair
+        return data
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [
+        lambda data: [data],
+        lambda data: {**data, "f": []},
+        _set_first_pair([1]),
+        _set_first_pair([0.02, 0.01, 7.0]),
+    ],
+    ids=["top-level-array", "profile-array", "short-fourier-pair", "long-fourier-pair"],
+)
+def test_model_file_of_the_wrong_shape_exits_3(tmp_path, capsys, malform):
+    # the file parses, but it is not a model: unreadable input, not a
+    # failing section
+    data = json.loads(generate(tmp_path, "--deform-coeffs", "[[0.02, 0.01]]").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(malform(data)))
+    assert main(["certify", str(bad), "--samples", "1"]) == 3
+    assert "cannot read model file" in capsys.readouterr().err
+    assert not (tmp_path / "bad.certificate.json").exists()
+
+
 def test_deformed_model_flags_dilational_not_homogeneous(tmp_path):
     out = tmp_path / "deformed.json"
     code = main(

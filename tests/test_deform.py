@@ -28,8 +28,6 @@ from ecsforge.deform import (
 )
 from ecsforge.exact import QFieldContext
 from ecsforge.funcspace import (
-    LinCombFn,
-    MonomialFn,
     OdeFn,
     ct_eigenbasis,
     ct_eigencheck_residual,
@@ -279,16 +277,17 @@ def test_perturbation_sums_match_the_per_harmonic_reference(coeffs):
 
 def test_positive_grid_rejects_negated_function():
     # the raw grid check is sign-sensitive; eig_positivity reads the pair
-    # normalized to y(1) = 1
-    assert _positive_on_grid(MonomialFn(1, -2), 1.0 / Q3, Q3)
-    assert not _positive_on_grid(MonomialFn(-1, -2), 1.0 / Q3, Q3)
+    # normalized to y(1) = 1.  y = t**-2 solves y'' = 6 t**-2 y (k = 5)
+    assert _positive_on_grid(OdeFn(HomogeneousF(5), 1.0, -2.0), 1.0 / Q3, Q3)
+    assert not _positive_on_grid(OdeFn(HomogeneousF(5), -1.0, 2.0), 1.0 / Q3, Q3)
 
 
 def test_positive_grid_reads_integrated_eigenfunctions():
     pair = solve_a(PerturbationF0(((0.05, 0.0),)), 2.5, CTX3).eigenpair
     for y in pair:
         assert _positive_on_grid(y, 1.0 / Q3, Q3)
-        assert not _positive_on_grid(LinCombFn((y,), (-1.0,)), 1.0 / Q3, Q3)
+        negated = OdeFn(y.profile, -y.value(1.0), -y.deriv(1.0))
+        assert not _positive_on_grid(negated, 1.0 / Q3, Q3)
 
 
 def test_failing_positivity_scan_integrates_no_further_than_pointwise():

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecsforge.cli import B_BOUND, CONDITION_BOUND, canonical_json
-from ecsforge.funcspace import ct_eigenbasis, omega
+from ecsforge.funcspace import ESolution, ct_eigenbasis, omega
 from ecsforge.model import build_model
 from ecsforge.quotient import (
     HAT,
@@ -60,6 +60,8 @@ BASIS = ct_eigenbasis(MODEL)
 L = build_lagrangian(MODEL, BASIS)
 GH = make_gamma_hat(MODEL)
 SIGMA = build_lattice(MODEL, pi_map(MODEL, GH, L))
+# the E-part of a central element (r, 0)
+CENTRAL = ESolution(MODEL.m, ())
 
 # x**4 - 21x**3 + 56x**2 - 21x + 1 in the companion layout used throughout
 FROZEN_XI = (
@@ -131,7 +133,7 @@ def test_pi_matrix_diagonal_exact():
             assert np.allclose(
                 moved.u.value(t), lam * BASIS[slot - 1].value(t), atol=1e-9 * lam
             )
-    assert pi_apply_numeric(MODEL, GH, HElement(MODEL, 1.0, None)).r == pytest.approx(1.0 / Q)
+    assert pi_apply_numeric(MODEL, GH, HElement(MODEL, 1.0, CENTRAL)).r == pytest.approx(1.0 / Q)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +315,9 @@ def test_lattice_column_is_the_exact_field_sum(r, p, data):
         assert got.a == want.a and got.b == want.b and got.d == want.d
     element = lattice_element(sigma, tuple(coords), lagrangian)
     assert element.r == float(expected[0])
-    assert (element.u is None) == all(entry.is_zero for entry in expected[1:])
+    assert (element.u == ESolution(sigma.model.m, ())) == all(
+        entry.is_zero for entry in expected[1:]
+    )
 
 
 def test_lattice_column_of_zero_and_unit_coordinates():
@@ -323,7 +327,7 @@ def test_lattice_column_of_zero_and_unit_coordinates():
         unit = tuple(int(i == j) for i in range(SIGMA.size))
         column = _lattice_column(SIGMA, unit)
         assert column == [SIGMA.basis_matrix[i][j] for i in range(SIGMA.size)]
-    assert lattice_element(SIGMA, (0,) * SIGMA.size, L).u is None
+    assert lattice_element(SIGMA, (0,) * SIGMA.size, L).u == CENTRAL
 
 
 def test_float_phi_is_cached_read_only():
@@ -366,8 +370,10 @@ def test_h_element_frozen_action():
     assert moved[1] == pytest.approx(0.0, abs=1e-14)
     assert np.allclose(moved[2], [1.0, 0.0, 0.0], atol=1e-14)
     # pure r translates s
-    shifted = act(HElement(MODEL, 2.5, None), (1.7, 0.5, np.ones(3)))
+    shifted = act(HElement(MODEL, 2.5, CENTRAL), (1.7, 0.5, np.ones(3)))
     assert shifted[1] == pytest.approx(3.0)
+    jacobian = act_jacobian(HElement(MODEL, 2.5, CENTRAL), (1.7, 0.5, np.ones(3)))
+    assert np.array_equal(jacobian, np.eye(5))
 
 
 def test_actions_round_trip():
