@@ -27,7 +27,7 @@ from scipy.optimize import brentq
 
 from .exact import QFieldContext
 from .funcspace import OdeFn, transfer_matrix_T
-from .model import PROFILE_DECODERS
+from .model import PROFILE_DECODERS, json_int
 
 __all__ = [
     "PerturbationF0",
@@ -151,6 +151,9 @@ class DeformedF:
     p: int
 
     def __post_init__(self) -> None:
+        for name in ("c", "a_solved", "target_trace"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.c <= 0:
             raise ValueError(f"half-gap c must be positive, got {self.c}")
         if self.a_solved <= 0:
@@ -191,9 +194,11 @@ class DeformedF:
         """T's eigenfunctions (y+, y-) at q**(c - 1/2) and q**(-c - 1/2),
         built once per profile instance: each start vector at t = 1 is the
         null vector of T - lam I (its rows are parallel; the larger is used),
-        normalized to y(1) = 1 where possible.  Raises ValueError when T
-        lacks a target eigenvalue, as it does unless the trace is matched."""
-        matrix, vecs = self.transfer_matrix, []
+        normalized to y(1) = 1 where possible, and each function is stored
+        over the one period in which it dominates (`OdeFn`): y+ down to
+        t = 1/q, y- up to t = q.  Raises ValueError when T lacks a target
+        eigenvalue, as it does unless the trace is matched."""
+        q, matrix, pair = float(self._ctx.q), self.transfer_matrix, []
         for exp in (self.c - 0.5, -self.c - 0.5):
             lam = math.exp(exp * self._log_q)
             if exp.is_integer():  # a field element whenever 2c is an odd integer
@@ -207,8 +212,9 @@ class DeformedF:
                     "profile does not have the requested transfer spectrum "
                     f"(eigen-residual {residual:.3e} at exponent {exp:g})"
                 )
-            vecs.append(vec / (vec[0] if abs(vec[0]) > 1e-12 * np.linalg.norm(vec) else vec[1]))
-        return tuple(OdeFn(self, vec[0], vec[1]) for vec in vecs)
+            vec = vec / (vec[0] if abs(vec[0]) > 1e-12 * np.linalg.norm(vec) else vec[1])
+            pair.append(OdeFn(self, vec, lam, q))
+        return tuple(pair)
 
     def to_json_dict(self) -> dict:
         return {
@@ -230,7 +236,7 @@ class DeformedF:
             c=float(data["c"]),
             a_solved=float(data["a_solved"]),
             target_trace=float(data["target_trace"]),
-            p=int(data["p"]),
+            p=json_int(data["p"], "p"),
         )
 
 
@@ -319,13 +325,8 @@ def solve_a(fstar: PerturbationF0, c: float, ctx: QFieldContext) -> DeformedF:
 
 def _positive_on_grid(fn: OdeFn, lo: float, hi: float) -> bool:
     """Strict positivity of the integrated solution fn on a geometric grid
-    of [lo, hi].
-
-    The grid is read in batched runs (`state_runs`), and the scan stops at
-    the first run with a non-positive value, integrating no further than a
-    point-by-point scan would."""
-    grid = np.geomspace(lo, hi, POSITIVITY_POINTS)
-    return all(bool(np.all(states[:, 0] > 0.0)) for states in fn.state_runs(grid))
+    of [lo, hi], read from its stored period in one pass."""
+    return bool(np.all(fn.values(np.geomspace(lo, hi, POSITIVITY_POINTS)) > 0.0))
 
 
 def eig_positivity(df: DeformedF) -> bool:

@@ -4,7 +4,11 @@ Scalar layer: solutions of y'' = f(t) y on t > 0, either exact monomials
 (power-law profile) or numerically integrated functions (any self-similar
 profile with q**2 f(q t) = f(t)).  The transfer operator (T y)(t) = y(t/q)
 preserves the two-dimensional solution space; its matrix in the basis of
-initial conditions at t = 1 has determinant exactly 1/q.
+initial conditions at t = 1 has determinant exactly 1/q.  The integrated
+eigen-solutions are Floquet solutions, y(t/q) = mu y(t): each is integrated
+once, over one log-period in the direction in which it dominates, and read
+at every other t through its multiplier, with the period's closure
+residual kept as the measure of how far it is from one (`_FloquetFn`).
 
 Vector layer: L-valued solutions of u'' = f u + A u.  The operator
 (CT u)(t) = C u(t/q) acts on the 2m-dimensional solution space with simple
@@ -47,13 +51,14 @@ __all__ = [
     "ct_image",
     "ct_eigencheck_exact",
     "ct_eigencheck_residual",
+    "closure_residual",
     "verify_ct_omega_scaling",
     "qt_eigen_residual",
 ]
 
 
-# Integrator tolerances of the lazily integrated solutions (OdeFn's
-# defaults, ForcedOdeFn's values) and of the one-pass transfer matrix
+# Integrator tolerances of the one-period solutions (OdeFn, ForcedOdeFn)
+# and of the one-pass transfer matrix
 ODE_RTOL = 1e-12
 ODE_ATOL = 1e-14
 TRANSFER_RTOL = 1e-13
@@ -96,170 +101,142 @@ class MonomialFn:
         return self._slope_f * t ** self._power_m1_f
 
 
-class _LogTimeSolution:
-    """A solution of a linear system in log-time, integrated lazily.
+def _log_time(t: float) -> float:
+    if t <= 0:
+        raise ValueError("solutions live on t > 0")
+    return math.log(t)
+
+
+def _growth(multiplier: float, step: float) -> float:
+    """The factor by which a solution with y(t/q) = multiplier * y(t)
+    scales over one log-period in the direction of `step`."""
+    return multiplier if step < 0 else 1.0 / multiplier
+
+
+def _integrate_period(rhs, start, step: float):
+    """One DOP853 pass with dense output from tau = 0 to tau = `step`."""
+    sol = solve_ivp(
+        rhs, (0.0, step), start, method="DOP853", dense_output=True, rtol=ODE_RTOL, atol=ODE_ATOL
+    )
+    if not sol.success:
+        raise RuntimeError(f"integration failed: {sol.message}")
+    return sol
+
+
+def _closure(start: np.ndarray, end: np.ndarray, growth: float) -> float:
+    """|end - growth start| / max(1, |growth start|): how far an integrated
+    period misses the Floquet form."""
+    expected = growth * start
+    return float(np.linalg.norm(end - expected)) / max(1.0, float(np.linalg.norm(expected)))
+
+
+class _FloquetFn:
+    """A Floquet solution of the characteristic ODE, stored over one period.
 
     The substitution tau = log t, with w = t y' in place of y', turns
     y'' = f(t) y into the first-order system (y, w)' = (w, w + t**2 f(t) y)
-    with t = e^tau, in which the self-similar profiles become literally
-    periodic coefficients.  Subclasses supply the right-hand side `_rhs` and
-    the start state at t = 1; dense output segments are cached and extended
-    on demand in either direction, and only ever appended, so the first
-    segment that covers a point never changes once it exists.
+    with t = e^tau, whose coefficients are periodic in tau with period
+    log q for the self-similar profiles.  A solution with
+    y(t/q) = multiplier * y(t) is fixed by one period: y and w scale alike,
+    so t = q**j s gives state(t) = multiplier**-j state(s).  Each subclass
+    integrates its period once, when it is built, from t = 1 over `step`
+    (-log q or +log q), and reads it through `_period_state`; `growth` is
+    the factor by which the state scales over one period in that direction.
 
-    `value` and `deriv` are defined here, once: y sits in the state at the
-    index `_component` that each subclass sets, and w = t y' right after.
-
-    Each point is evaluated once: `_state` keeps the state of every t it
-    has read (read-only arrays, shared by `value` and `deriv` and by every
-    combination built on the solution).  `state_runs` evaluates an array
-    of points in order, laying down segments exactly as pointwise reads in
-    that order would, and reads each run of points that needs no further
-    integration in one dense-output call per segment.  The dense output is
-    elementwise, so either route gives the same bits.
+    The sampled eigen-checks then hold by construction away from the
+    period's seam, since t and t/q reduce to one stored point.  What they
+    would measure is the period's closure, `closure_residual` =
+    |S(end) - growth S(start)| / max(1, |growth S(start)|) for the
+    integrated eigen-solution S (a forced solution's source): zero exactly
+    when the start state is an eigenvector of T with the stated eigenvalue.
     """
 
-    def __init__(self, profile, init, *, rtol: float, atol: float) -> None:
-        self.profile = profile
-        self.rtol = rtol
-        self.atol = atol
-        self._init = np.array(init)
-        self._init.setflags(write=False)
-        self._lo = self._hi = 0.0
-        self._state_lo = self._state_hi = self._init
-        self._segments: list[tuple[float, float, object]] = []
-        self._memo: dict[float, np.ndarray] = {}
+    def _at(self, tau):
+        """The state (y, w) at log-time tau, a float or an array (then one
+        column per point)."""
+        turns = np.floor(tau / self.step)
+        return self.growth**turns * self._period_state(tau - turns * self.step)
 
-    def _extend(self, tau: float) -> None:
-        forward = tau > self._hi
-        start, state = (self._hi, self._state_hi) if forward else (self._lo, self._state_lo)
-        target = tau + 0.5 if forward else tau - 0.5
-        sol = solve_ivp(
-            self._rhs,
-            (start, target),
-            state,
-            method="DOP853",
-            dense_output=True,
-            rtol=self.rtol,
-            atol=self.atol,
-        )
-        if not sol.success:
-            raise RuntimeError(f"integration failed: {sol.message}")
-        end_state = sol.y[:, -1].copy()
-        if forward:
-            self._segments.append((start, target, sol.sol))
-            self._hi, self._state_hi = target, end_state
-        else:
-            self._segments.append((target, start, sol.sol))
-            self._lo, self._state_lo = target, end_state
-
-    @staticmethod
-    def _log_time(t: float) -> float:
-        if t <= 0:
-            raise ValueError("solutions live on t > 0")
-        return math.log(t)
-
-    def _cover(self, tau: float) -> None:
-        while not (self._lo <= tau <= self._hi):
-            self._extend(tau)
-
-    def _segment_of(self, tau: float) -> int:
-        """Index of the first segment that covers the covered log-time tau."""
-        return next(
-            index
-            for index, (lo, hi, _) in enumerate(self._segments)
-            if lo - 1e-12 <= tau <= hi + 1e-12
-        )
+    # (t, state) of the latest read, the only one kept: value and deriv, and
+    # the components of one vector solution, read the same t in turn
+    _last = (None, None)
 
     def _state(self, t: float) -> np.ndarray:
-        state = self._memo.get(t)
-        if state is None:
-            tau = self._log_time(t)
-            self._cover(tau)
-            if not self._segments:
-                # tau is the base point and nothing was integrated yet; not
-                # memoized, since later reads come from the first segment
-                return self._init
-            state = self._memo[t] = self._segments[self._segment_of(tau)][2](tau)
-            state.setflags(write=False)
+        last_t, state = self._last
+        if t != last_t:
+            state = self._at(_log_time(t))
+            self._last = (t, state)
         return state
 
     def value(self, t: float) -> float:
-        return float(self._state(t)[self._component])
+        return float(self._state(t)[0])
 
     def deriv(self, t: float) -> float:
-        return float(self._state(t)[self._component + 1]) / t
+        return float(self._state(t)[1]) / t
 
-    def state_runs(self, ts):
-        """The states at the points of `ts`, in order, as one read-only
-        (points, dim) array per run of points that the integration already
-        covers.  A run is evaluated only when the iteration reaches it, so a
-        caller that stops early integrates no further than pointwise reads
-        up to that point would have."""
-        taus = [self._log_time(t) for t in ts]
-        start = 0
-        while start < len(taus):
-            self._cover(taus[start])
-            stop = start + 1
-            while stop < len(taus) and self._lo <= taus[stop] <= self._hi:
-                stop += 1
-            yield self._evaluate(ts[start:stop], taus[start:stop])
-            start = stop
-
-    def _evaluate(self, ts, taus: list[float]) -> np.ndarray:
-        """States at covered points: one dense-output call per segment."""
-        if not self._segments:
-            # only the base point, nothing integrated yet; not memoized, as
-            # in `_state`, since later reads come from the first segment
-            states = np.tile(self._init, (len(taus), 1))
-            states.setflags(write=False)
-            return states
-        taus = np.array(taus)
-        owners = np.array([self._segment_of(tau) for tau in taus])
-        states = np.empty((len(taus), self._init.size))
-        for owner in np.unique(owners):
-            rows = np.flatnonzero(owners == owner)
-            states[rows] = self._segments[owner][2](taus[rows]).T
-        states.setflags(write=False)
-        for t, state in zip(ts, states):
-            self._memo.setdefault(float(t), state)
-        return states
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        """y at an array of t > 0, read from the period in one pass."""
+        return self._at(np.log(ts))[0]
 
 
-class OdeFn(_LogTimeSolution):
-    """A solution of y'' = f(t) y with y(1) = y0, y'(1) = dy0."""
+class OdeFn(_FloquetFn):
+    """The solution of y'' = f(t) y whose start state (y(1), y'(1)) =
+    `start` is an eigenvector of T with eigenvalue `multiplier`.
 
-    _component = 0
+    det T = 1/q, so the other eigen-solution has multiplier
+    1/(q multiplier), and y dominates it toward small t exactly when
+    multiplier**2 > 1/q.  The period is integrated in the direction in
+    which y dominates (the dichotomy rule): down to t = 1/q, else up to q.
+    """
 
-    def __init__(
-        self, profile, y0: float, dy0: float, *, rtol: float = ODE_RTOL, atol: float = ODE_ATOL
-    ) -> None:
-        super().__init__(profile, [float(y0), float(dy0)], rtol=rtol, atol=atol)
+    def __init__(self, profile, start, multiplier: float, q: float) -> None:
+        self.profile, self.multiplier = profile, multiplier
+        self.start = np.array(start, dtype=float)
+        self.step = -math.log(q) if multiplier * multiplier * q > 1.0 else math.log(q)
+        self.growth = _growth(multiplier, self.step)
+        sol = _integrate_period(self._rhs, self.start, self.step)
+        self._period_state = sol.sol
+        self.closure_residual = _closure(self.start, sol.y[:, -1], self.growth)
 
     def _rhs(self, tau: float, state):
         t = math.exp(tau)
         return (state[1], state[1] + t * t * self.profile.value(t) * state[0])
 
 
-class ForcedOdeFn(_LogTimeSolution):
-    """The particular solution of x'' = f x + y with x(1) = x'(1) = 0,
-    where y is itself the solution of y'' = f y with the given start data.
+class ForcedOdeFn(_FloquetFn):
+    """The solution z of z'' = f z + y, y = `source`, with
+    z(t/q) = multiplier * z(t), stored over the source's period.
 
-    Source and response are co-integrated as one four-dimensional linear
-    system, which sidesteps any interpolation of the source into the
-    quadrature."""
+    A zero-start particular solution x is co-integrated with its source as
+    one four-dimensional linear system, which sidesteps any interpolation
+    of the source into the quadrature; `closure_residual` is the source's.
+    Then z = x + b_s y + b_o y_o, with y_o = `other` the source's partner in
+    the eigenpair, is fitted at the period's ends (the defect removal): each
+    y_i scales by its own growth g_i over the period, so z(end) =
+    growth z(1) reads x(end) = sum_i b_i (growth - g_i) y_i(1), one 2x2
+    solve in the start states.  The solve is singular exactly when
+    q * multiplier is an eigenvalue of qT on the homogeneous ambiguity.
+    """
 
-    _component = 2
-
-    def __init__(self, profile, source_y0: float, source_dy0: float) -> None:
-        init = [float(source_y0), float(source_dy0), 0.0, 0.0]
-        super().__init__(profile, init, rtol=ODE_RTOL, atol=ODE_ATOL)
+    def __init__(self, source: OdeFn, other: OdeFn, multiplier: float) -> None:
+        self.profile, self.other, self.step = source.profile, other, source.step
+        self.growth = _growth(multiplier, self.step)
+        sol = _integrate_period(self._rhs, np.concatenate([source.start, [0.0, 0.0]]), self.step)
+        self._dense, end = sol.sol, sol.y[:, -1]
+        self.closure_residual = _closure(source.start, end[:2], source.growth)
+        coords = np.linalg.solve(np.column_stack([source.start, other.start]), end[2:])
+        pair_growth = np.array([source.growth, _growth(other.multiplier, self.step)])
+        self._coeffs = coords / (self.growth - pair_growth)
 
     def _rhs(self, tau: float, state):
         t = math.exp(tau)
         t2f = t * t * self.profile.value(t)
         y, wy, x, wx = state
         return (wy, wy + t2f * y, wx, wx + t2f * x + t * t * y)
+
+    def _period_state(self, tau):
+        state = self._dense(tau)
+        return state[2:] + self._coeffs[0] * state[:2] + self._coeffs[1] * self.other._at(tau)
 
 
 @dataclass(frozen=True)
@@ -358,9 +335,8 @@ def particular_solutions(model: ModelData, scalar_basis):
 
     Power-law profile: z is exactly the monomial t**((5 -+ k)/2) / (4 -+ 2k)
     (the qT eigen-identity is re-checked here in integer arithmetic).  Other
-    profiles: a zero-start particular solution is integrated, and its defect
-    d = (qT)x - lambda x — a homogeneous solution — is removed by dividing
-    its eigen-coordinates by q**E(1,2) - lambda.
+    profiles: z is a `ForcedOdeFn` with T-eigenvalue lambda / q, fitted on
+    its source's period and read elsewhere through the Floquet form.
     """
     k, m = model.k, model.m
     slots = (2 * m - 1, 2 * m)
@@ -381,33 +357,10 @@ def particular_solutions(model: ModelData, scalar_basis):
     ctx = model.context()
     q = float(ctx.q)
     y_plus, y_minus = scalar_basis
-    basis_at_one = np.array(
-        [
-            [y_plus.value(1.0), y_minus.value(1.0)],
-            [y_plus.deriv(1.0), y_minus.deriv(1.0)],
-        ]
+    return tuple(
+        ForcedOdeFn(source, other, float(ctx.q_power(model.system.E_of(slot))) / q)
+        for source, other, slot in ((y_plus, y_minus, slots[0]), (y_minus, y_plus, slots[1]))
     )
-    ambiguity_eigs = np.array(
-        [
-            float(ctx.q_power(model.system.E_of(1))),
-            float(ctx.q_power(model.system.E_of(2))),
-        ]
-    )
-    out = []
-    for y_src, slot in ((y_plus, slots[0]), (y_minus, slots[1])):
-        lam = float(ctx.q_power(model.system.E_of(slot)))
-        forced = ForcedOdeFn(model.f, y_src.value(1.0), y_src.deriv(1.0))
-        # defect of the zero-start solution under the eigen-equation; it
-        # solves the homogeneous equation, so two numbers determine it
-        s = 1.0 / q
-        d_val = q * forced.value(s) - lam * forced.value(1.0)
-        d_der = forced.deriv(s) - lam * forced.deriv(1.0)
-        alpha = np.linalg.solve(basis_at_one, np.array([d_val, d_der]))
-        coeffs = alpha / (lam - ambiguity_eigs)
-        out.append(
-            LinCombFn((forced, y_plus, y_minus), (1.0, coeffs[0], coeffs[1]))
-        )
-    return tuple(out)
 
 
 def qt_eigen_residual(model: ModelData, fn, lam_exponent: int) -> float:
@@ -633,6 +586,12 @@ def ct_eigencheck_residual(model: ModelData, basis: Sequence[ESolution] | None =
             scale_d = max(1.0, float(np.linalg.norm(rhs_d)))
             worst = max(worst, float(np.linalg.norm(lhs_d - rhs_d)) / scale_d)
     return worst
+
+
+def closure_residual(basis: Sequence[ESolution]) -> float:
+    """Worst closure residual of the integrated periods that `basis` reads
+    (`_FloquetFn`); a deformed profile's route, as monomials store none."""
+    return max(fn.closure_residual for u in basis for _, fn in u.components)
 
 
 def verify_ct_omega_scaling(

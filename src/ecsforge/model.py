@@ -33,9 +33,18 @@ __all__ = [
     "conjugation_checks",
     "curvature_identities",
     "isometry_checks",
+    "json_int",
     "load_model_lenient",
     "PROFILE_DECODERS",
 ]
+
+
+def json_int(value, name: str) -> int:
+    """A model file's integer field: a float or a boolean raises instead of
+    being cut to an int."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,7 @@ class HomogeneousF:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "HomogeneousF":
-        return cls(k=int(data["k"]))
+        return cls(k=json_int(data["k"], "k"))
 
 
 # profile decoders by JSON variant; the deformation module registers its own
@@ -164,17 +173,17 @@ def load_model_lenient(data: Mapping) -> ModelData:
     """Reconstruct a model without validating it, so that certification can
     report broken invariants as failing sections instead of refusing the
     file.  Structural unreadability (wrong schema, missing keys, unknown
-    profile) still raises."""
+    profile, a non-integer where an integer belongs) still raises."""
     if not isinstance(data, Mapping):
         raise ValueError(f"a model file must hold a JSON object, not a {type(data).__name__}")
     if data.get("schema") != "ecs-forge/1":
         raise ValueError(f"unsupported schema {data.get('schema')!r}")
     sys_data = data["system"]
     system = ZSpectralSystem(
-        m=int(sys_data["m"]),
-        k=int(sys_data["k"]),
-        E=tuple(sys_data["E"]),
-        J=tuple(sys_data["J"]),
+        m=json_int(sys_data["m"], "m"),
+        k=json_int(sys_data["k"], "k"),
+        E=tuple(json_int(v, "an E entry") for v in sys_data["E"]),
+        J=tuple(json_int(v, "a J entry") for v in sys_data["J"]),
     )
     f_data = data["f"]
     if not isinstance(f_data, Mapping):
@@ -183,11 +192,11 @@ def load_model_lenient(data: Mapping) -> ModelData:
     if decoder is None:
         raise ValueError(f"unknown profile variant {f_data.get('variant')!r}")
     return ModelData(
-        n=int(data["n"]),
-        p=int(data["p"]),
-        eps=int(data["eps"]),
+        n=json_int(data["n"], "n"),
+        p=json_int(data["p"], "p"),
+        eps=json_int(data["eps"], "eps"),
         system=system,
-        a=tuple(int(v) for v in data["a"]),
+        a=tuple(json_int(v, "an a entry") for v in data["a"]),
         f=decoder(f_data),
     )
 

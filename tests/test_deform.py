@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
-from ecsforge import deform, funcspace
+from ecsforge import cli, deform, funcspace
 from ecsforge.cli import build_certificate
 from ecsforge.deform import (
     DeformedF,
@@ -192,12 +193,17 @@ def test_transfer_matrix_is_the_two_solution_construction(n, p, coeffs, a_solved
     df = DeformedF(PerturbationF0(coeffs), c=2.5, a_solved=a_solved, target_trace=0.0, p=p)
     q = float(QFieldContext(p).q)
     matrix = transfer_matrix_T(df, q)
-    # reference: each basis solution integrated on its own and read back
-    # through its dense output at 1/q
-    u1 = OdeFn(df, 1.0, 0.0, rtol=1e-13, atol=1e-15)
-    u2 = OdeFn(df, 0.0, 1.0, rtol=1e-13, atol=1e-15)
-    s = 1.0 / q
-    reference = np.array([[u1.value(s), u2.value(s)], [u1.deriv(s) / q, u2.deriv(s) / q]])
+    # reference: each basis solution integrated on its own, in t rather than
+    # log-time, from t = 1 down to 1/q
+    columns = []
+    for start in ((1.0, 0.0), (0.0, 1.0)):
+        sol = solve_ivp(
+            lambda t, y: (y[1], df.value(t) * y[0]), (1.0, 1.0 / q), start,
+            method="DOP853", rtol=1e-13, atol=1e-15,
+        )
+        u, du = sol.y[:, -1]
+        columns.append((u, du / q))
+    reference = np.array(columns).T
     assert np.max(np.abs(matrix - reference)) <= 1e-11 * np.max(np.abs(reference))
     assert abs(np.linalg.det(matrix) * q - 1.0) <= 1e-12
 
@@ -209,6 +215,12 @@ def test_deformed_field_validation():
         DeformedF(ZERO, c=2.5, a_solved=0.0, target_trace=6.9, p=3)
     with pytest.raises(ValueError):
         DeformedF(ZERO, c=2.5, a_solved=2.5, target_trace=6.9, p=2)
+    # NaN passes every comparison above; it and the infinities are refused
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("c", "a_solved", "target_trace"):
+            values = {"c": 2.5, "a_solved": 2.5, "target_trace": 6.9, field: bad}
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                DeformedF(ZERO, p=3, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -278,31 +290,16 @@ def test_perturbation_sums_match_the_per_harmonic_reference(coeffs):
 def test_positive_grid_rejects_negated_function():
     # the raw grid check is sign-sensitive; eig_positivity reads the pair
     # normalized to y(1) = 1.  y = t**-2 solves y'' = 6 t**-2 y (k = 5)
-    assert _positive_on_grid(OdeFn(HomogeneousF(5), 1.0, -2.0), 1.0 / Q3, Q3)
-    assert not _positive_on_grid(OdeFn(HomogeneousF(5), -1.0, 2.0), 1.0 / Q3, Q3)
+    assert _positive_on_grid(OdeFn(HomogeneousF(5), (1.0, -2.0), Q3**2, Q3), 1.0 / Q3, Q3)
+    assert not _positive_on_grid(OdeFn(HomogeneousF(5), (-1.0, 2.0), Q3**2, Q3), 1.0 / Q3, Q3)
 
 
 def test_positive_grid_reads_integrated_eigenfunctions():
     pair = solve_a(PerturbationF0(((0.05, 0.0),)), 2.5, CTX3).eigenpair
     for y in pair:
         assert _positive_on_grid(y, 1.0 / Q3, Q3)
-        negated = OdeFn(y.profile, -y.value(1.0), -y.deriv(1.0))
+        negated = OdeFn(y.profile, -y.start, y.multiplier, Q3)
         assert not _positive_on_grid(negated, 1.0 / Q3, Q3)
-
-
-def test_failing_positivity_scan_integrates_no_further_than_pointwise():
-    # y = (8 t**-2 - 3 t**3) / 5 solves y'' = 6 t**-2 y and changes sign at
-    # t = (8/3)**(1/5) ~ 1.22, inside [1/q, q]: the batched scan must stop
-    # where a point-by-point scan stops, leaving the same segments behind
-    # for every later read
-    profile = HomogeneousF(5)
-    grid = np.geomspace(1.0 / Q3, Q3, deform.POSITIVITY_POINTS)
-    scanned, pointwise, whole = (OdeFn(profile, 1.0, -5.0) for _ in range(3))
-    assert not _positive_on_grid(scanned, 1.0 / Q3, Q3)
-    assert not all(pointwise.value(t) > 0.0 for t in grid)
-    assert [seg[:2] for seg in scanned._segments] == [seg[:2] for seg in pointwise._segments]
-    list(whole.state_runs(grid))
-    assert whole._hi > scanned._hi  # reading the whole grid integrates further
 
 
 def test_eig_positivity_unperturbed_and_perturbed():
@@ -396,6 +393,38 @@ def test_ct_eigenbasis_integrates_one_transfer_matrix(monkeypatch):
     assert (len(matrices), len(solutions)) == (1, 2)
     transfer = next(s for s in certificate["sections"] if s["name"] == "profile-transfer")
     assert transfer["pass"] and transfer["details"]["eigenfunctions_positive"]
+    assert certificate["overall_pass"]
+
+
+def test_deformed_certificate_integrates_five_periods(monkeypatch):
+    # a deformed (7,3) certificate integrates T once, y+ and y- over one
+    # period each and the two forced solutions over their sources' periods;
+    # every later read, at any t, comes from those periods
+    system = standard_family(4)
+    df = solve_a(PerturbationF0(((0.02, 0.01),)), system.k / 2.0, CTX3)
+    model = build_model(system, 3, f=df)
+    real, spans = funcspace.solve_ivp, []
+
+    def counted(fun, t_span, *args, **kwargs):
+        spans.append(t_span)
+        return real(fun, t_span, *args, **kwargs)
+
+    def kept_basis(model):
+        bases.append(ct_eigenbasis(model))
+        return bases[-1]
+
+    bases = []
+    monkeypatch.setattr(funcspace, "solve_ivp", counted)
+    monkeypatch.setattr(cli, "ct_eigenbasis", kept_basis)
+    certificate = build_certificate(model, samples=5, seed=0)
+    log_q = math.log(Q3)
+    # T, then y+ down and y- up, then z+ and z- on their sources' periods
+    assert spans == [(0.0, -log_q), (0.0, -log_q), (0.0, log_q), (0.0, -log_q), (0.0, log_q)]
+    for u in bases[0]:
+        for t in (1e-3, 0.2, 1.0, 7.0, 900.0):
+            u.value(t), u.deriv(t)
+    assert eig_positivity(df)
+    assert len(spans) == 5
     assert certificate["overall_pass"]
 
 

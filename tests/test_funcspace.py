@@ -88,19 +88,32 @@ def test_qt_eigen_identity_of_corrections():
     assert qt_eigen_residual(model, z_minus, model.system.E_of(2 * m)) < 1e-12
 
 
-def test_ode_fn_reproduces_monomials():
+# q at p = 3; the power law is self-similar at every scale, so any q > 1
+# gives Floquet solutions of it
+Q3 = float(QFieldContext(3).q)
+
+
+def _monomial_pair(q=Q3):
+    """y+ = t**-2 and y- = t**3, the k = 5 eigenpair, as integrated periods."""
     f = HomogeneousF(5)
-    # start data of t**-2 at t = 1
-    y = OdeFn(f, 1.0, -2.0)
-    for t in (0.3, 0.9, 1.0, 1.8, 4.2):
-        assert y.value(t) == pytest.approx(t**-2, rel=1e-11)
-        assert y.deriv(t) == pytest.approx(-2 * t**-3, rel=1e-10)
-    # and revisiting cached range stays consistent
-    assert y.value(0.9) == pytest.approx(0.9**-2, rel=1e-11)
+    return OdeFn(f, (1.0, -2.0), q**2, q), OdeFn(f, (1.0, 3.0), q**-3, q)
+
+
+def test_ode_fn_reproduces_monomials():
+    y_plus, y_minus = _monomial_pair()
+    # each is stored over the period in which it dominates the other
+    assert (y_plus.step, y_minus.step) == (-math.log(Q3), math.log(Q3))
+    for t in (0.05, 0.3, 0.9, 1.0, 1.8, 4.2, 30.0):
+        assert y_plus.value(t) == pytest.approx(t**-2, rel=1e-11)
+        assert y_plus.deriv(t) == pytest.approx(-2 * t**-3, rel=1e-10)
+        assert y_minus.value(t) == pytest.approx(t**3, rel=1e-11)
+        assert y_minus.deriv(t) == pytest.approx(3 * t**2, rel=1e-10)
+    np.testing.assert_allclose(y_plus.values(np.array([0.05, 1.0, 30.0])), [400.0, 1.0, 30.0**-2])
+    assert max(y_plus.closure_residual, y_minus.closure_residual) < 1e-12
 
 
 def test_ode_fn_rejects_nonpositive_time():
-    y = OdeFn(HomogeneousF(5), 1.0, 0.0)
+    y = _monomial_pair()[0]
     with pytest.raises(ValueError):
         y.value(0.0)
     with pytest.raises(ValueError):
@@ -108,19 +121,20 @@ def test_ode_fn_rejects_nonpositive_time():
 
 
 def test_forced_ode_frozen_solution():
-    # x'' = f x + t**-2 with x(1) = x'(1) = 0 has the closed form
-    # -1/6 + t**-2/10 + t**3/15 (checked by differentiating on paper)
-    forced = ForcedOdeFn(HomogeneousF(5), 1.0, -2.0)
-    assert forced.value(2.0) == pytest.approx(47.0 / 120.0, rel=1e-10)
-    assert forced.deriv(2.0) == pytest.approx(0.775, rel=1e-10)
-    assert forced.value(1.0) == pytest.approx(0.0, abs=1e-13)
-    # the co-integrated source is t**-2
-    assert float(forced._state(2.0)[0]) == pytest.approx(0.25, rel=1e-11)
-
-
-# read after a grid over one period of p = 3; repeats and points outside
-# the grid's span included
-EVAL_POINTS = (1.0, 0.5, 2.3, 1.0, 0.37, 1.7, 3.9, 0.5, 0.21)
+    # the k = 5 corrections: z'' = f z + y with z(t/q) = (lambda/q) z(t) is
+    # -1/6 for y = t**-2 (multiplier 1) and t**5/14 for y = t**3 (q**-5),
+    # the monomials particular_solutions returns on the power law
+    y_plus, y_minus = _monomial_pair()
+    z_plus = ForcedOdeFn(y_plus, y_minus, 1.0)
+    z_minus = ForcedOdeFn(y_minus, y_plus, Q3**-5)
+    assert (z_plus.step, z_minus.step) == (y_plus.step, y_minus.step)
+    for t in (0.2, 0.7, 1.0, 1.9, 5.5):
+        assert z_plus.value(t) == pytest.approx(-1.0 / 6.0, rel=1e-10)
+        assert z_plus.deriv(t) == pytest.approx(0.0, abs=1e-9)
+        assert z_minus.value(t) == pytest.approx(t**5 / 14.0, rel=1e-10)
+        assert z_minus.deriv(t) == pytest.approx(5 * t**4 / 14.0, rel=1e-10)
+    # the closure residual is the co-integrated source's
+    assert max(z_plus.closure_residual, z_minus.closure_residual) < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -128,55 +142,31 @@ def deformed_profile():
     return solve_a(PerturbationF0(((0.02, 0.01),)), 2.5, QFieldContext(3))
 
 
-def _fresh_solutions(profile):
-    """A deformed eigenpair member and a forced solution, nothing integrated
-    yet; a copy of the profile builds its own eigenpair."""
-    return dataclasses.replace(profile).eigenpair[0], ForcedOdeFn(profile, 1.0, 0.3)
+def test_period_reads_are_the_floquet_form(deformed_profile):
+    # every read reduces to the stored period: t and t/q give states that
+    # differ by the multiplier alone, and a repeated read gives the same bits
+    y_plus, y_minus = dataclasses.replace(deformed_profile).eigenpair
+    for y in (y_plus, y_minus):
+        for t in (0.01, 0.5, 1.3, 2.4, 80.0):
+            ratio = y.value(t / Q3) / y.value(t)
+            assert ratio == pytest.approx(y.multiplier, rel=1e-14)
+            assert y.deriv(t / Q3) / (Q3 * y.deriv(t)) == pytest.approx(y.multiplier, rel=1e-14)
+            first = (y.value(t), y.deriv(t))
+            y.value(1.1)
+            assert (y.value(t), y.deriv(t)) == first
+        # the array read (the positivity grid's) agrees to rounding
+        grid = np.geomspace(0.01, 80.0, 31)
+        np.testing.assert_allclose(y.values(grid), [y.value(t) for t in grid], rtol=1e-13)
 
 
-def _count_solve_ivp(monkeypatch):
-    calls = []
-    real = funcspace.solve_ivp
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(funcspace, "solve_ivp", counted)
-    return calls
-
-
-def test_memoized_and_batched_reads_are_bit_identical(deformed_profile, monkeypatch):
-    # The same reads in the same order, once point by point on fresh
-    # instances and once with repeats and the grid batched: every state,
-    # value and derivative must agree bit for bit, from the same integrations
-    grid = np.geomspace(0.4, 2.5, 97)
-    references, warmed = _fresh_solutions(deformed_profile), _fresh_solutions(deformed_profile)
-    calls = _count_solve_ivp(monkeypatch)
-    for ref, warm in zip(references, warmed):
-        start = len(calls)
-        ref_base = (ref.value(1.0), ref.deriv(1.0))  # the start data, nothing integrated
-        ref_grid = np.array([ref._state(t) for t in grid])
-        ref_points = [(ref.value(t), ref.deriv(t)) for t in EVAL_POINTS]
-        ref_spans = calls[start:]
-
-        start = len(calls)
-        warm_base = [(warm.value(1.0), warm.deriv(1.0)) for _ in range(2)]
-        runs = list(warm.state_runs(grid))
-        warm_grid = np.concatenate(list(warm.state_runs(grid)))
-        warm_points = [[(warm.value(t), warm.deriv(t)) for t in EVAL_POINTS] for _ in range(2)]
-        assert calls[start:] == ref_spans
-        assert len(runs) > 1  # the grid spans several extensions
-
-        assert warm_base == [ref_base, ref_base]
-        assert np.array_equal(np.concatenate(runs), ref_grid)
-        assert np.array_equal(warm_grid, ref_grid)
-        assert warm_points == [ref_points, ref_points]
-        assert warm._state(0.5) is warm._state(0.5)  # read once, then memoized
-        for state in (warm._state(0.5), runs[0]):
-            assert not state.flags.writeable
-            with pytest.raises(ValueError):
-                state[0] = 0.0
+def test_closure_residual_sees_a_start_off_the_eigenvector(deformed_profile):
+    # a start vector moved off T's eigenvector by a relative 1e-6 keeps its
+    # Floquet reads but misses the period's closure by about as much
+    for y in deformed_profile.eigenpair:
+        assert y.closure_residual < 1e-12
+        moved = y.start + 1e-6 * np.linalg.norm(y.start) * np.array([0.0, 1.0])
+        off = OdeFn(deformed_profile, moved, y.multiplier, Q3)
+        assert off.closure_residual > 1e-7
 
 
 @settings(max_examples=60, deadline=None)
