@@ -6,14 +6,16 @@ canonically (sorted keys, two-space indent, trailing newline) so that a
 load/re-emit round trip is byte-identical.  Certificates aggregate one
 section per verifiable claim; exact sections carry the literal residual
 "0", numeric ones their measured residual and tolerance.  Exit codes:
-generate 0 success / 1 invariant failure / 2 unusable dimension; certify
-0 all sections pass / 1 some section fails / 3 unreadable input;
-search-even 0 exactly when the scan comes back empty.
+generate 0 success / 1 invariant failure / 2 unusable dimension or
+unwritable output; certify 0 all sections pass / 1 some section fails /
+2 bad option or unwritable output / 3 unreadable input; search-even 0
+exactly when the scan comes back empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -110,6 +112,17 @@ def canonical_json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _write(path: Path, data) -> bool:
+    """Write `data` to `path` as canonical JSON; on failure say why on
+    stderr and return False (a usage error: the path cannot be written)."""
+    try:
+        path.write_text(canonical_json(data), encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # generate
 
@@ -146,7 +159,8 @@ def cmd_generate(args) -> int:
         print(f"model construction failed: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out) if args.out else Path(f"model-n{n}-p{args.p}.json")
-    out.write_text(canonical_json(model.to_json_dict()), encoding="utf-8")
+    if not _write(out, model.to_json_dict()):
+        return 2
     print(out)
     return 0
 
@@ -208,64 +222,50 @@ def _draw_coords(rng, support: np.ndarray) -> tuple[int, ...]:
     return tuple(int(c) for c in coords)
 
 
-def _shared(build):
-    """A run attribute built the first time a section reads it, and kept
-    with its failure: the build runs once, and every section that reads an
-    object whose build raised fails with that exception."""
-
-    def read(run):
-        if build.__name__ not in run.built:
-            try:
-                run.built[build.__name__] = build(run), None
-            except Exception as exc:
-                run.built[build.__name__] = None, exc
-        value, exc = run.built[build.__name__]
-        if exc is not None:
-            raise exc
-        return value
-
-    return property(read)
-
-
 class _Run:
-    """One certificate's inputs and the objects its sections share."""
+    """One certificate's inputs and the objects its sections share.
+
+    Each shared object is built the first time a section reads it and kept.
+    None of the builds draws from `rng`, so a build that raises raises
+    again, with the same message at the same line, in every section that
+    reads it.
+    """
 
     def __init__(self, model: ModelData, samples: int, seed: int, tol: Mapping[str, float]):
         self.model, self.samples, self.tol = model, samples, tol
         self.homogeneous = isinstance(model.f, HomogeneousF)
         # the one stream of draws, taken in section order
         self.rng = np.random.default_rng(seed)
-        self.built: dict[str, tuple] = {}
 
-    @_shared
+    @functools.cached_property
     def basis(self):
         return ct_eigenbasis(self.model)
 
-    @_shared
+    @functools.cached_property
     def lagrangian(self):
         return build_lagrangian(self.model, self.basis)
 
-    @_shared
+    @functools.cached_property
     def gamma_hat(self):
         return make_gamma_hat(self.model)
 
-    @_shared
+    @functools.cached_property
     def sigma(self):
         # build_lattice returns only a lattice with Pi Phi = Phi Xi and
         # det Xi = +-1; when the identity fails it raises, and every
         # section that reads the lattice fails with its message
         return build_lattice(self.model, pi_map(self.model, self.gamma_hat, self.lagrangian))
 
-    @_shared
+    @functools.cached_property
     def ace(self):
         return certify_ace(self.model, self.lagrangian)
 
-    @_shared
+    @functools.cached_property
     def eigen_exact(self):
         # the integer eigen-weight check, read by eigenbasis and condition-b
         return ct_eigencheck_exact(self.model)
 
-    @_shared
+    @functools.cached_property
     def patch(self):
         return MetricPatch(self.model)
 
@@ -656,7 +656,8 @@ def cmd_certify(args) -> int:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         model = load_model_lenient(data)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer beyond the float range where a float is read
         print(f"cannot read model file {path}: {exc}", file=sys.stderr)
         return 3
     overrides = None
@@ -686,7 +687,8 @@ def cmd_certify(args) -> int:
         print(f"certification setup failed: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out) if args.out else path.with_suffix(".certificate.json")
-    out.write_text(canonical_json(certificate), encoding="utf-8")
+    if not _write(out, certificate):
+        return 2
     for section in certificate["sections"]:
         mark = "ok  " if section["pass"] else "FAIL"
         residual = section["residual"]

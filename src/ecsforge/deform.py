@@ -27,7 +27,7 @@ from scipy.optimize import brentq
 
 from .exact import QFieldContext
 from .funcspace import OdeFn, transfer_matrix_T
-from .model import PROFILE_DECODERS, json_int
+from .model import json_float, json_int
 
 __all__ = [
     "PerturbationF0",
@@ -70,10 +70,6 @@ class PerturbationF0:
         object.__setattr__(
             self, "_freqs", tuple(2.0 * math.pi * j for j in range(1, len(coeffs) + 1))
         )
-
-    @classmethod
-    def zero(cls) -> "PerturbationF0":
-        return cls(())
 
     @property
     def is_zero(self) -> bool:
@@ -232,15 +228,14 @@ class DeformedF:
         if any(len(pair) != 2 for pair in pairs):
             raise ValueError(f"Fourier pairs need exactly two entries, got {pairs!r}")
         return cls(
-            perturbation=PerturbationF0(pairs),
-            c=float(data["c"]),
-            a_solved=float(data["a_solved"]),
-            target_trace=float(data["target_trace"]),
+            perturbation=PerturbationF0(
+                tuple(tuple(json_float(x, "a Fourier entry") for x in pair) for pair in pairs)
+            ),
+            c=json_float(data["c"], "c"),
+            a_solved=json_float(data["a_solved"], "a_solved"),
+            target_trace=json_float(data["target_trace"], "target_trace"),
             p=json_int(data["p"], "p"),
         )
-
-
-PROFILE_DECODERS["deformed"] = DeformedF.from_json_dict
 
 
 def target_trace_value(c: float, ctx: QFieldContext) -> float:

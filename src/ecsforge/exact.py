@@ -282,8 +282,9 @@ class QFieldContext:
     strictly between (p-1)**2 and p**2, hence is never a perfect square, so q
     is a genuine quadratic irrationality with q > 1, norm 1 and q + 1/q = p.
     Integer powers of q are cached: lattice certificates ask for thousands of
-    nearby exponents and each power is one multiplication away from a cached
-    neighbour.
+    nearby exponents, and each positive power is one multiplication away
+    from a cached neighbour.  q has norm 1, so q**-a is the Galois
+    conjugate of q**a and costs no multiplication at all.
     """
 
     def __init__(self, p: int) -> None:
@@ -298,7 +299,6 @@ class QFieldContext:
         self.zero = QFieldElement(Fraction(0), Fraction(0), self.d)
         self._powers: dict[int, QFieldElement] = {0: self.one, 1: self.q, -1: self.q_inv}
         self._hi = 1
-        self._lo = -1
 
     def element(self, a: Rational, b: Rational = 0) -> QFieldElement:
         return QFieldElement(Fraction(a), Fraction(b), self.d)
@@ -307,18 +307,14 @@ class QFieldContext:
         powers = self._powers
         if exponent in powers:
             return powers[exponent]
-        if exponent > 0:
-            value = powers[self._hi]
-            for k in range(self._hi + 1, exponent + 1):
-                value = value * self.q
-                powers[k] = value
-            self._hi = exponent
-        else:
-            value = powers[self._lo]
-            for k in range(self._lo - 1, exponent - 1, -1):
-                value = value * self.q_inv
-                powers[k] = value
-            self._lo = exponent
+        if exponent < 0:
+            value = powers[exponent] = self.q_power(-exponent).conj
+            return value
+        value = powers[self._hi]
+        for k in range(self._hi + 1, exponent + 1):
+            value = value * self.q
+            powers[k] = value
+        self._hi = exponent
         return value
 
     def __repr__(self) -> str:

@@ -36,7 +36,6 @@ __all__ = [
     "MonomialFn",
     "OdeFn",
     "ForcedOdeFn",
-    "LinCombFn",
     "TimeScaledFn",
     "wronskian",
     "w_basis",
@@ -240,22 +239,9 @@ class ForcedOdeFn(_FloquetFn):
 
 
 @dataclass(frozen=True)
-class LinCombFn:
-    """Pointwise linear combination of scalar functions."""
-
-    funcs: tuple
-    coeffs: tuple[float, ...]
-
-    def value(self, t: float) -> float:
-        return sum(c * f.value(t) for c, f in zip(self.coeffs, self.funcs))
-
-    def deriv(self, t: float) -> float:
-        return sum(c * f.deriv(t) for c, f in zip(self.coeffs, self.funcs))
-
-
-@dataclass(frozen=True)
 class TimeScaledFn:
-    """prefactor * fn(time_scale * t); the building block of CT images."""
+    """prefactor * fn(time_scale * t); the building block of CT images and,
+    with time_scale 1.0, of scaled solutions."""
 
     fn: object
     prefactor: float
@@ -413,9 +399,7 @@ class ESolution:
         return {i: values[i] for i in slots}, {i: derivs[i] for i in slots}
 
     def scaled(self, factor: float) -> "ESolution":
-        comps = tuple(
-            (idx, LinCombFn((fn,), (factor,))) for idx, fn in self.components
-        )
+        comps = tuple((idx, TimeScaledFn(fn, factor, 1.0)) for idx, fn in self.components)
         return ESolution(self.m, comps)
 
 

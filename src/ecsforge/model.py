@@ -18,7 +18,7 @@ arithmetic; nothing numeric enters until the geometry layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .exact import QFieldContext
 from .spectral import ZSpectralSystem
@@ -33,9 +33,9 @@ __all__ = [
     "conjugation_checks",
     "curvature_identities",
     "isometry_checks",
+    "json_float",
     "json_int",
     "load_model_lenient",
-    "PROFILE_DECODERS",
 ]
 
 
@@ -45,6 +45,14 @@ def json_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be a JSON integer, got {value!r}")
     return value
+
+
+def json_float(value, name: str) -> float:
+    """A model file's real field: a JSON integer or float, as a float; a
+    string or a boolean raises instead of being converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -79,12 +87,6 @@ class HomogeneousF:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "HomogeneousF":
         return cls(k=json_int(data["k"], "k"))
-
-
-# profile decoders by JSON variant; the deformation module registers its own
-PROFILE_DECODERS: dict[str, Callable[[Mapping], object]] = {
-    "homogeneous": HomogeneousF.from_json_dict,
-}
 
 
 @dataclass(frozen=True)
@@ -160,20 +162,13 @@ class ModelData:
             "f": self.f.to_json_dict(),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "ModelData":
-        model = load_model_lenient(data)
-        failures = check_model(model)
-        if failures:
-            raise ValueError("; ".join(failures))
-        return model
-
 
 def load_model_lenient(data: Mapping) -> ModelData:
     """Reconstruct a model without validating it, so that certification can
     report broken invariants as failing sections instead of refusing the
     file.  Structural unreadability (wrong schema, missing keys, unknown
-    profile, a non-integer where an integer belongs) still raises."""
+    profile, a non-integer where an integer belongs, a string or a boolean
+    where a number belongs) still raises."""
     if not isinstance(data, Mapping):
         raise ValueError(f"a model file must hold a JSON object, not a {type(data).__name__}")
     if data.get("schema") != "ecs-forge/1":
@@ -188,8 +183,11 @@ def load_model_lenient(data: Mapping) -> ModelData:
     f_data = data["f"]
     if not isinstance(f_data, Mapping):
         raise ValueError(f"profile 'f' must be a JSON object, not a {type(f_data).__name__}")
-    decoder = PROFILE_DECODERS.get(f_data.get("variant"))
-    if decoder is None:
+    from .deform import DeformedF  # deform imports this module
+
+    decoders = {"homogeneous": HomogeneousF.from_json_dict, "deformed": DeformedF.from_json_dict}
+    decode = decoders.get(f_data.get("variant"))
+    if decode is None:
         raise ValueError(f"unknown profile variant {f_data.get('variant')!r}")
     return ModelData(
         n=json_int(data["n"], "n"),
@@ -197,7 +195,7 @@ def load_model_lenient(data: Mapping) -> ModelData:
         eps=json_int(data["eps"], "eps"),
         system=system,
         a=tuple(json_int(v, "an a entry") for v in data["a"]),
-        f=decoder(f_data),
+        f=decode(f_data),
     )
 
 

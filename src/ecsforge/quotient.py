@@ -34,7 +34,7 @@ from .exact import (
     companion_matrix,
     det_int,
 )
-from .funcspace import ESolution, LinCombFn, ct_eigenbasis, ct_image, omega, omega_matrix
+from .funcspace import ESolution, TimeScaledFn, ct_eigenbasis, ct_image, omega, omega_matrix
 from .model import ModelData
 
 __all__ = [
@@ -102,7 +102,7 @@ def _combine(m: int, terms: Sequence[tuple[float, ESolution]]) -> ESolution:
     components = []
     for coef, sol in terms:
         for idx, fn in sol.components:
-            components.append((idx, LinCombFn((fn,), (coef,))))
+            components.append((idx, TimeScaledFn(fn, coef, 1.0)))
     return ESolution(m, tuple(components))
 
 
@@ -254,7 +254,7 @@ def pi_map(model: ModelData, gamma_hat: GammaHat, lagrangian: LagrangianL):
     )
 
 
-def pi_apply_numeric(model: ModelData, gamma_hat: GammaHat, element: HElement) -> HElement:
+def pi_apply_numeric(model: ModelData, element: HElement) -> HElement:
     """Pi as a map on actual group elements, for cross-checking the matrix."""
     return HElement(model, element.r / float(model.context().q), ct_image(model, element.u))
 

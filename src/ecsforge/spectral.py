@@ -336,7 +336,9 @@ def search_systems(
     them when nothing is unmatched).  Each step discards only candidates that fail (d), so the join
     visits every candidate of the full product that could pass, over the
     same window.  A candidate whose spectrum is symmetric is built and
-    checked against all four axioms before it is returned.  Results are
+    checked against all four axioms before it is returned.  No (E, J) is
+    yielded twice: every label has alpha = +-1, so an orbit's x fixes its
+    E, its flip fixes its J, and E fixes k through axiom (c).  Results are
     sorted by (k, E, J); an empty list is a genuine nonexistence
     certificate for the range scanned.
     """
@@ -348,14 +350,10 @@ def search_systems(
         raise ValueError(f"window must be >= 0, got {window}")
     if k_max < 1:
         return []
-    found = []
-    seen = set()
-    for k in range(1, k_max + 1, 2):
-        w = window if window is not None else 2 * k + 4
-        for system in _systems_for_gap(m, k, w):
-            key = (system.E, system.J)
-            if key not in seen:
-                seen.add(key)
-                found.append(system)
+    found = [
+        system
+        for k in range(1, k_max + 1, 2)
+        for system in _systems_for_gap(m, k, window if window is not None else 2 * k + 4)
+    ]
     found.sort(key=lambda s: (s.k, s.E, s.J))
     return found

@@ -213,7 +213,7 @@ def test_gate05_isometry_residuals_generator_and_lattice():
 def test_gate06_profile_solver_reference_values():
     ctx = QFieldContext(3)
     q = float(ctx.q)
-    zero = PerturbationF0.zero()
+    zero = PerturbationF0(())
     for c in (1.5, 2.5, 3.5):
         assert abs(solve_a(zero, c, ctx).a_solved - c) < 1e-10
     assert abs(trace_H(zero, 2.5, ctx) - 6.9098301) < 5e-7  # six decimals

@@ -24,7 +24,14 @@ from ecsforge.deform import DeformedF, PerturbationF0, solve_a, target_trace_val
 from ecsforge.exact import QFieldContext
 from ecsforge.funcspace import OdeFn
 from ecsforge.geometry import MetricPatch, curvature_at
-from ecsforge.model import HomogeneousF, ModelData, build_model, curvature_identities
+from ecsforge.model import (
+    HomogeneousF,
+    ModelData,
+    build_model,
+    check_model,
+    curvature_identities,
+    load_model_lenient,
+)
 from ecsforge.quotient import HAT, xi_power
 from ecsforge.spectral import standard_family
 
@@ -88,6 +95,26 @@ def test_generate_rejects_dimension_below_five(tmp_path):
     assert main(["generate", "--n", "3", "--p", "3", "--out", str(tmp_path / "x.json")]) == 2
 
 
+def test_generate_to_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "model.json"
+    assert main(["generate", "--n", "5", "--p", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {out}: ")
+    assert "Traceback" not in captured.err
+
+
+def test_certify_to_a_missing_directory_exits_2(tmp_path, capsys):
+    model = generate(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "missing" / "model.certificate.json"
+    assert main(["certify", str(model), "--samples", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {out}: ")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("coeffs", ["[[0.1]]", "[1, 2]", "5", "[[null, 0.1]]", "{}", "nope"])
 def test_generate_rejects_malformed_deform_coeffs(tmp_path, capsys, coeffs):
     out = tmp_path / "model.json"
@@ -106,7 +133,8 @@ def test_generate_default_filename(tmp_path, monkeypatch):
 def test_model_round_trip_is_byte_identical(tmp_path):
     out = generate(tmp_path)
     text = out.read_text()
-    model = ModelData.from_json_dict(json.loads(text))
+    model = load_model_lenient(json.loads(text))
+    assert check_model(model) == ()
     assert canonical_json(model.to_json_dict()) == text
 
 
@@ -662,11 +690,22 @@ def _set_profile_field(name, value):
         lambda data: {**data, "n": 5.5},
         lambda data: {**data, "a": [1.5, *data["a"][1:]]},
         lambda data: {**data, "eps": True},
+        # a real field holds a JSON number: no string or boolean stands in
+        _set_profile_field("c", "2.5"),
+        lambda data: _set_profile_field("target_trace", str(data["f"]["target_trace"]))(data),
+        _set_first_pair(["0.02", "0.01"]),
+        _set_profile_field("a_solved", True),
+        _set_first_pair([True, False]),
+        _set_profile_field("c", 10**400),
+        lambda data: _set_profile_field("p", 10**400)({**data, "p": 10**400}),
     ],
     ids=[
         "top-level-array", "profile-array", "short-fourier-pair", "long-fourier-pair",
         "nan-a-solved", "infinite-a-solved", "nan-target-trace",
         "fractional-n", "fractional-a-entry", "boolean-eps",
+        "string-c", "string-target-trace", "string-fourier-pair",
+        "boolean-a-solved", "boolean-fourier-pair", "huge-integer-c",
+        "huge-integer-p",
     ],
 )
 def test_model_file_of_the_wrong_shape_exits_3(tmp_path, capsys, malform):

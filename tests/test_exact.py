@@ -86,6 +86,24 @@ def test_q_power_caching_consistency():
     assert ctx.q_power(2) == 3 * ctx.q - 1
 
 
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_q_power_negative_powers_are_conjugates_in_either_order(p):
+    # q has norm 1, so q**-a is the conjugate of q**a; a fresh context asked
+    # for q**-a first must give the same elements as one asked for q**a first
+    for a in range(-40, 41):
+        down_first = QFieldContext(p)
+        low = down_first.q_power(-a)
+        high = down_first.q_power(a)
+        assert low == high.conj
+        assert high * low == 1
+        assert high == down_first.q**a
+        up_first = QFieldContext(p)
+        high_up = up_first.q_power(a)
+        low_up = up_first.q_power(-a)
+        for x, y in ((low, low_up), (high, high_up)):
+            assert (x.int_a, x.int_b, x.den) == (y.int_a, y.int_b, y.den)
+
+
 def test_trace_of_power_matches_recurrence():
     for p, expected in FROZEN_TRACES.items():
         ctx = QFieldContext(p)

@@ -19,7 +19,6 @@ from ecsforge import funcspace
 from ecsforge.funcspace import (
     ESolution,
     ForcedOdeFn,
-    LinCombFn,
     MonomialFn,
     OdeFn,
     TimeScaledFn,
@@ -190,8 +189,10 @@ def test_lincomb_and_timescale_algebra():
     half = TimeScaledFn(y, prefactor=2.0, time_scale=0.5)
     assert half.value(2.0) == pytest.approx(2.0)  # 2 * (1)**3
     assert half.deriv(2.0) == pytest.approx(3.0)  # 2 * 0.5 * 3 t**2 at t=1
-    combo = LinCombFn((y, half), (1.0, -1.0))
-    assert combo.value(2.0) == pytest.approx(6.0)
+    # a linear combination is one solution with two components on a slot
+    combo = ESolution(1, ((0, y), (0, TimeScaledFn(half, prefactor=-1.0, time_scale=1.0))))
+    assert combo.value(2.0)[0] == pytest.approx(6.0)  # 8 - 2
+    assert combo.deriv(2.0)[0] == pytest.approx(9.0)  # 12 - 3
 
 
 def test_transfer_matrix_against_exact_spectrum():
@@ -321,8 +322,8 @@ def test_omega_matrix_is_the_pairwise_omega(r, p, deformed):
         for _ in range(3)
     ]
     elements.append(h_mul(elements[0], elements[1]))
-    lattice_sols = [e.u for e in elements if e.u is not None]
-    lattice_sols += [pi_apply_numeric(model, None, e).u for e in elements if e.u is not None]
+    lattice_sols = [e.u for e in elements]
+    lattice_sols += [pi_apply_numeric(model, e).u for e in elements]
     families = (basis, [ct_image(model, u) for u in basis], lattice_sols, [*basis[:3], *lattice_sols])
     for t in sorted({*funcspace.OMEGA_SCALING_TS, *OMEGA_TS}):
         for sols in families:

@@ -5,8 +5,13 @@ from a(i) = E(2i-1) + (1-k)/2 and are frozen below; everything else is
 pinned through the exact dual-route checks.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +24,11 @@ from ecsforge.model import (
     conjugation_checks,
     isometry_checks,
     kappa,
+    load_model_lenient,
 )
 from ecsforge.spectral import ZSpectralSystem, standard_family
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FROZEN_A = {
     3: (1, 0, -1),
@@ -210,25 +218,51 @@ def test_json_round_trip_and_tamper_detection():
     model = build_model(standard_family(4), p=4, eps=-1)
     data = model.to_json_dict()
     assert data["schema"] == "ecs-forge/1"
-    rebuilt = ModelData.from_json_dict(data)
+    rebuilt = load_model_lenient(data)
     assert rebuilt == model
+    assert check_model(rebuilt) == ()
 
+    # broken invariants load, and check_model reports them
     tampered = model.to_json_dict()
     tampered["a"][1] += 1
-    with pytest.raises(ValueError):
-        ModelData.from_json_dict(tampered)
+    assert check_model(load_model_lenient(tampered))
 
     tampered = model.to_json_dict()
     tampered["system"]["E"][0] += 2
-    with pytest.raises(ValueError):
-        ModelData.from_json_dict(tampered)
+    assert check_model(load_model_lenient(tampered))
 
+    # a wrong schema or an unknown profile variant does not load
     tampered = model.to_json_dict()
     tampered["schema"] = "ecs-forge/0"
-    with pytest.raises(ValueError):
-        ModelData.from_json_dict(tampered)
+    with pytest.raises(ValueError, match="schema"):
+        load_model_lenient(tampered)
 
     tampered = model.to_json_dict()
     tampered["f"] = {"variant": "mystery"}
-    with pytest.raises(ValueError):
-        ModelData.from_json_dict(tampered)
+    with pytest.raises(ValueError, match="variant"):
+        load_model_lenient(tampered)
+
+
+def test_model_module_alone_loads_a_deformed_model(tmp_path):
+    # a fresh interpreter that imports only ecsforge.model reads a deformed
+    # profile: load_model_lenient brings in its decoder itself
+    from ecsforge.deform import PerturbationF0, solve_a
+    from ecsforge.exact import QFieldContext
+
+    profile = solve_a(PerturbationF0(((0.02, 0.01),)), 2.5, QFieldContext(3))
+    path = tmp_path / "deformed.json"
+    path.write_text(json.dumps(build_model(standard_family(3), 3, f=profile).to_json_dict()))
+    script = (
+        "import json, sys\n"
+        "from ecsforge.model import check_model, load_model_lenient\n"
+        "model = load_model_lenient(json.loads(open(sys.argv[1]).read()))\n"
+        "print(type(model.f).__name__, check_model(model))\n"
+    )
+    paths = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "DeformedF ()\n"

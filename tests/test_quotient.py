@@ -126,14 +126,14 @@ def test_pi_matrix_diagonal_exact():
     # numeric route through the actual conjugation formula: Pi moves each
     # basis column (0, u_slot) to (0, q**E u_slot)
     for col, slot in enumerate(L.index_set, start=1):
-        moved = pi_apply_numeric(MODEL, GH, HElement(MODEL, 0.0, BASIS[slot - 1]))
+        moved = pi_apply_numeric(MODEL, HElement(MODEL, 0.0, BASIS[slot - 1]))
         assert moved.r == pytest.approx(0.0, abs=1e-15)
         lam = float(pi[col][col])
         for t in (1.0, 1.7):
             assert np.allclose(
                 moved.u.value(t), lam * BASIS[slot - 1].value(t), atol=1e-9 * lam
             )
-    assert pi_apply_numeric(MODEL, GH, HElement(MODEL, 1.0, CENTRAL)).r == pytest.approx(1.0 / Q)
+    assert pi_apply_numeric(MODEL, HElement(MODEL, 1.0, CENTRAL)).r == pytest.approx(1.0 / Q)
 
 
 # ---------------------------------------------------------------------------

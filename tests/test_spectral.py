@@ -240,6 +240,8 @@ def test_search_filter_matches_full_axiom_scan():
                 assert all(f.startswith("(d)") for f in system.axiom_failures()), system
             reference += [s for s in systems if not s.axiom_failures()]
         reference.sort(key=lambda s: (s.k, s.E, s.J))
+        # the full product repeats no (E, J), so neither may the join
+        assert len({(s.E, s.J) for s in reference}) == len(reference)
         assert search_systems(m, 9, window=window) == reference
     assert list(_systems_for_gap(3, 5, 14)) == [standard_family(3)]
 
